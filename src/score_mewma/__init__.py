@@ -22,7 +22,6 @@ from .errors import (
 from .likelihood import (
     FitResult,
     ScoreCovariance,
-    empirical_score_covariance,
     expected_score_covariance,
     fisher_information,
     fit_mle,
@@ -32,7 +31,7 @@ from .likelihood import (
     score,
     standardized_cumulative_score,
 )
-from .mc import PatientGenerator, replication_rng, resolve_threads, sample_patient, sample_patients
+from .mc import PatientGenerator, replication_rng, resolve_threads, sample_patients
 from .model import (
     CovariateModel,
     DagModelSpec,
@@ -92,7 +91,6 @@ __all__ = [
     "apply_shift",
     "calibrate_h",
     "default_delivery_model",
-    "empirical_score_covariance",
     "enumerate_patients",
     "estimate_arl",
     "expected_score_covariance",
@@ -114,7 +112,6 @@ __all__ = [
     "run_arl_study",
     "run_pair_study",
     "run_stream",
-    "sample_patient",
     "sample_patients",
     "score",
     "serialize_model_spec",

@@ -10,14 +10,22 @@ one simulation pass per stage suffices.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.stats import chi2
 
-from .chart import ChartConfig, run_stream
+from .chart import ChartConfig, run_stream  # noqa: F401  bench/tracing.py patches calibrate.run_stream
 from .errors import CalibrationError, ModelConfigError
-from .mc import PatientGenerator, replication_rng, sample_patients, simulate_run_lengths
+from .mc import (
+    PatientGenerator,
+    _CompiledSim,
+    _seed_parts,
+    _simulate_chunk,
+    replication_rng,
+    sample_patients,
+    simulate_run_lengths,
+)
 
 H_MAX = 1e6
 
@@ -102,7 +110,10 @@ def estimate_arl(
     runs until the first signal or max_rl (censored). With ``phase1_size``
     set, every replication first refits the reference coefficients on a fresh
     in-control sample of that size and monitors at the refitted values,
-    propagating estimation uncertainty into the run lengths.
+    propagating estimation uncertainty into the run lengths. Replication
+    ``rep`` then draws its Phase-I sample and, after it, its monitored
+    patients from ``replication_rng(seed, rep)``, and runs on the same Monte
+    Carlo kernel as the plain estimate, one replication at a time.
     """
     if config.h is None:
         raise ModelConfigError("config.h must be set to estimate an ARL")
@@ -115,7 +126,7 @@ def estimate_arl(
 
 
 def _estimate_arl_phase1(generator, params0, config, reps, max_rl, seed, phase1_size) -> ArlResult:
-    """Reference-path variant with a per-replication Phase-I refit."""
+    """Per-replication Phase-I refit, then the replication's run on the kernel."""
     from .likelihood import expected_score_covariance, fit_mle
 
     if phase1_size < 1:
@@ -129,30 +140,9 @@ def _estimate_arl_phase1(generator, params0, config, reps, max_rl, seed, phase1_
         phase1 = sample_patients(in_control, phase1_size, rng)
         fit = fit_mle(spec, phase1, params_init=params0)
         sigma = expected_score_covariance(spec, fit.params, generator.covariates).values
-        if config.coords is not None:
-            sigma = sigma[np.ix_(config.coords, config.coords)]
-        rep_config = ChartConfig(
-            sigma_s=sigma,
-            r=tuple(config.r_vec),
-            h=config.h,
-            covariance_mode=config.covariance_mode,
-            warmup=config.warmup,
-            coords=config.coords,
-            coord_names=config.coord_names,
-        )
-
-        def stream():
-            remaining = max_rl
-            while remaining > 0:
-                block = sample_patients(generator, min(256, remaining), rng)
-                yield from block.records()
-                remaining -= len(block)
-
-        for t, _, signal in run_stream(spec, fit.params, rep_config, stream(), stop_at_signal=True):
-            if signal:
-                run_lengths[rep] = t
-                resolved[rep] = True
-                break
+        sim = _CompiledSim(generator, fit.params, replace(config, sigma_s=sigma), max_rl)
+        rl, res, _ = _simulate_chunk(sim, [rng], config.h, max_rl, track_records=False)
+        run_lengths[rep], resolved[rep] = rl[0], res[0]
     return _summarize(run_lengths, resolved, max_rl)
 
 
@@ -221,7 +211,7 @@ def calibrate_h(
         max_rl = int(round(20 * target_arl))
     p = config.p
     h_guess = max(1.0, float(chi2.ppf(1.0 - 1.0 / target_arl, df=p)))
-    base = tuple(int(s) for s in (seed if isinstance(seed, (tuple, list)) else (seed,)))
+    base = _seed_parts(seed)
 
     lo = hi = None
     iterations = 0

@@ -8,7 +8,9 @@ covariance, either by the exact recursion or by its asymptotic limit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import threading
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -21,16 +23,17 @@ EXACT_RECURSIVE = "exact-recursive"
 ASYMPTOTIC = "asymptotic"
 
 COND_LIMIT = 1e12
+_GROW_LOCK = threading.Lock()  # guards T2Evaluator.inverse's lazy growth
 
 
 @dataclass(frozen=True)
 class ChartConfig:
     """Immutable chart parameters.
 
-    ``r`` is the smoothing weight, a scalar broadcast to every monitored
-    coordinate or a full vector. ``coords`` optionally restricts monitoring
-    to a subset of score coordinates; ``sigma_s`` must then match that
-    subset's dimension (use ``submatrix`` helpers upstream).
+    ``r`` is the smoothing weight, a scalar broadcast to every score
+    coordinate or one value per coordinate; ``sigma_s`` is the covariance of
+    the full score vector. ``coord_names`` label the coordinates in error
+    messages.
     """
 
     sigma_s: np.ndarray
@@ -38,7 +41,6 @@ class ChartConfig:
     h: float | None = None
     covariance_mode: str = EXACT_RECURSIVE
     warmup: int = 1
-    coords: tuple[int, ...] | None = None
     coord_names: tuple[str, ...] | None = None
     r_vec: np.ndarray = field(init=False, repr=False)
 
@@ -71,10 +73,6 @@ class ChartConfig:
             raise ModelConfigError(f"unknown covariance_mode {self.covariance_mode!r}")
         if self.warmup < 1:
             raise ModelConfigError("warmup must be at least 1")
-        if self.coords is not None:
-            object.__setattr__(self, "coords", tuple(int(i) for i in self.coords))
-            if len(self.coords) != sigma.shape[0]:
-                raise ModelConfigError("coords length must match sigma_s dimension")
 
     @property
     def p(self) -> int:
@@ -85,21 +83,12 @@ class ChartConfig:
         return bool(np.all(self.r_vec == self.r_vec[0]))
 
     def with_h(self, h: float) -> "ChartConfig":
-        return ChartConfig(
-            sigma_s=self.sigma_s,
-            r=tuple(self.r_vec),
-            h=h,
-            covariance_mode=self.covariance_mode,
-            warmup=self.warmup,
-            coords=self.coords,
-            coord_names=self.coord_names,
-        )
+        return replace(self, h=h)
 
-    def select_scores(self, scores: np.ndarray) -> np.ndarray:
-        """Apply the coordinate mask to a score vector or matrix."""
-        if self.coords is None:
-            return scores
-        return scores[..., list(self.coords)]
+    @cached_property
+    def t2_evaluator(self) -> "T2Evaluator":
+        """The chart's T2 evaluator, built on first use."""
+        return T2Evaluator(self)
 
     def sigma_w_asymptotic(self) -> np.ndarray:
         r = self.r_vec
@@ -136,25 +125,80 @@ def init_state(config: ChartConfig) -> MewmaState:
     return MewmaState(config=config, w=np.zeros(p), t=0, sigma_w=np.zeros((p, p)))
 
 
-def _quadratic_form(w: np.ndarray, sigma_w: np.ndarray, coord_names) -> float:
-    evals = np.linalg.eigvalsh(sigma_w)
+def _check_conditioning(mat: np.ndarray, coord_names) -> None:
+    evals = np.linalg.eigvalsh(mat)
     if evals[0] <= 0.0 or evals[-1] / evals[0] > COND_LIMIT:
-        _, evecs = np.linalg.eigh(sigma_w)
-        null = np.abs(evecs[:, 0])
-        worst = np.argsort(null)[::-1][:3]
+        _, evecs = np.linalg.eigh(mat)
+        worst = np.argsort(np.abs(evecs[:, 0]))[::-1][:3]
         labels = [coord_names[i] if coord_names else str(i) for i in worst]
         raise SingularMatrixError(
             "chart covariance is numerically singular "
             f"(condition number above {COND_LIMIT:.0e}); offending coordinates: {', '.join(labels)}"
         )
-    return float(w @ np.linalg.solve(sigma_w, w))
+
+
+class T2Evaluator:
+    """T2_t = W_t' Sigma_W,t^{-1} W_t for one chart configuration, evaluated as
+    ``((w @ inverse(t)) * w).sum(-1) / factor(t)`` for a state w or a matrix of them.
+
+    With equal smoothing Sigma_W,t = f_t Sigma_S: inverse(t) is Sigma_S^{-1},
+    and one conditioning check covers every t, since cond(f_t Sigma_S) =
+    cond(Sigma_S). With unequal smoothing f_t = 1 and inverse(t) inverts the
+    recursion's Sigma_W,t, each checked when first needed, up to the cap
+    beyond which it is stationary; the asymptotic mode has only its limit.
+    SingularMatrixError names the coordinates that load most on the smallest
+    eigenvalue of the failing matrix.
+    """
+
+    def __init__(self, config: ChartConfig):
+        self._names = config.coord_names
+        self._mode = config.covariance_mode
+        self._r0 = float(config.r_vec[0]) if config.equal_r else None
+        if config.equal_r or config.covariance_mode == ASYMPTOTIC:
+            base = config.sigma_s if config.equal_r else config.sigma_w_asymptotic()
+            _check_conditioning(base, self._names)
+            self._inverses = [np.linalg.inv(base)]
+            self._cap = 1
+        else:
+            r = config.r_vec
+            self._sigma_s = config.sigma_s
+            self._rr = np.outer(r, r)
+            self._qq = np.outer(1.0 - r, 1.0 - r)
+            self._sigma_t = np.zeros_like(config.sigma_s)
+            self._inverses = []
+            # (1 - r_min)^(2t) < e^-41.5 beyond the cap
+            self._cap = int(np.ceil(-41.5 / (2.0 * np.log1p(-float(r.min())))) + 1)
+
+    def factor(self, t):
+        """f_t at t = 1, 2, ... (an int or a float array); 1 with unequal smoothing."""
+        r = self._r0
+        if r is None:
+            return np.ones_like(t, dtype=float)
+        if self._mode == ASYMPTOTIC:
+            return np.full_like(t, r / (2.0 - r), dtype=float)
+        return r * (1.0 - (1.0 - r) ** (2.0 * t)) / (2.0 - r)
+
+    def inverse(self, t: int) -> np.ndarray:
+        """The matrix A_t with T2_t = w' A_t w / f_t."""
+        t = min(t, self._cap)
+        if t > len(self._inverses):
+            with _GROW_LOCK:
+                while len(self._inverses) < t:
+                    self._sigma_t = self._rr * self._sigma_s + self._qq * self._sigma_t
+                    _check_conditioning(self._sigma_t, self._names)
+                    self._inverses.append(np.linalg.inv(self._sigma_t))
+        return self._inverses[t - 1]
+
+    def t2(self, w: np.ndarray, t: int, factor) -> np.ndarray:
+        return ((w @ self.inverse(t)) * w).sum(axis=-1) / factor
 
 
 def update(state: MewmaState, s_t: np.ndarray) -> tuple[MewmaState, float, bool]:
     """Advance the chart one patient; returns (new state, t2, signal).
 
-    ``s_t`` must already be in chart coordinates (masked if the config uses
-    a coordinate subset).
+    ``s_t`` is the patient's full score vector. ``sigma_w`` of the new state
+    follows the covariance recursion (or its limit); T2 comes from the
+    config's ``t2_evaluator``, so no matrix is factorised per patient.
     """
     cfg = state.config
     s = np.asarray(s_t, dtype=float).reshape(-1)
@@ -170,7 +214,8 @@ def update(state: MewmaState, s_t: np.ndarray) -> tuple[MewmaState, float, bool]
         )
     else:
         sigma_w = cfg.sigma_w_asymptotic()
-    t2 = _quadratic_form(w, sigma_w, cfg.coord_names)
+    evaluator = cfg.t2_evaluator
+    t2 = float(evaluator.t2(w, t, evaluator.factor(t)))
     signal = t >= cfg.warmup and cfg.h is not None and t2 > cfg.h
     return MewmaState(config=cfg, w=w, t=t, sigma_w=sigma_w), t2, bool(signal)
 
@@ -191,7 +236,7 @@ def run_stream(
     state = init_state(config)
     for record in records:
         s = per_record_scores(spec, params0, [record])[0]
-        state, t2, signal = update(state, config.select_scores(s))
+        state, t2, signal = update(state, s)
         yield state.t, t2, signal
         if signal and stop_at_signal:
             return

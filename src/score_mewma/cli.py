@@ -1,14 +1,16 @@
 """Command line interface: fit, calibrate, study, monitor, simulate.
 
-Exit codes are stable: 0 ok, 2 input or parse problem, 3 fit failure
-(non-convergence or complete separation), 4 calibration failure, 5 invalid
-shift. Every output file embeds a run manifest whose argv re-runs the
-command bit-identically (payload bytes).
+Exit codes are stable: 0 ok, 2 input or parse problem (including a
+numerically singular chart covariance), 3 fit failure (non-convergence or
+complete separation), 4 calibration failure, 5 invalid shift. Every output
+file embeds a run manifest whose argv re-runs the command bit-identically
+(payload bytes).
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -22,9 +24,10 @@ from .errors import (
     FitError,
     ModelConfigError,
     ShiftError,
+    SingularMatrixError,
 )
 from .likelihood import expected_score_covariance, fit_mle
-from .mc import PatientGenerator
+from .mc import PatientGenerator, sample_patients
 from .model import model_hash
 from .shifts import (
     ShiftSpec,
@@ -32,7 +35,6 @@ from .shifts import (
     apply_shift,
     in_control_generator,
     run_arl_study,
-    sample_patients,
     validate_shift_targets,
 )
 from .version import __version__
@@ -46,6 +48,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be at least 1")
+    return value
+
+
+def _positive_finite(text: str) -> float:
+    value = float(text)
+    if not (value > 0.0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError("must be positive and finite")
     return value
 
 
@@ -296,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("params")
     p.add_argument("--target-arl", type=_target_arl, required=True)
     p.add_argument("--reps", type=_positive_int, default=10_000, help="final-stage replications")
-    p.add_argument("--rel-tolerance", type=float, default=0.02)
+    p.add_argument("--rel-tolerance", type=_positive_finite, default=0.02)
     p.add_argument("--max-rl", type=_positive_int, default=None)
     p.add_argument("--seed", type=int, default=0)
     _add_chart_options(p)
@@ -310,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["coefficient", "coefficient-pair", "mean-additive", "mean-odds"])
     p.add_argument("--targets", required=True, help="comma-separated coefficient or outcome names")
     p.add_argument("--c-grid", required=True, help="list a,b,c or range start:stop:step")
-    p.add_argument("--h", type=float, required=True, help="calibrated control limit")
+    p.add_argument("--h", type=_positive_finite, required=True, help="calibrated control limit")
     p.add_argument("--reps", type=_positive_int, default=5000)
     p.add_argument("--max-rl", type=_positive_int, default=4000)
     p.add_argument("--seed", type=int, default=0)
@@ -323,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model_config")
     p.add_argument("params")
     p.add_argument("data_csv", nargs="?", default="-", help="patient CSV path or - for stdin")
-    p.add_argument("--h", type=float, required=True)
+    p.add_argument("--h", type=_positive_finite, required=True)
     _add_chart_options(p)
     p.add_argument("-o", "--out", required=True, help="trace CSV path or - for stdout")
     p.set_defaults(func=cmd_monitor)
@@ -354,7 +363,7 @@ def main(argv=None) -> int:
     args.argv = tuple(argv)
     try:
         return args.func(args)
-    except (ModelConfigError, DataFormatError) as exc:
+    except (ModelConfigError, DataFormatError, SingularMatrixError) as exc:
         _err(str(exc))
         return 2
     except FileNotFoundError as exc:

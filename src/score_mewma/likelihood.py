@@ -159,13 +159,6 @@ def expected_score_covariance(
     return ScoreCovariance(values=mean, mode="monte-carlo", mc_se=se, mc_samples=mc_samples)
 
 
-def empirical_score_covariance(spec: DagModelSpec, params: ParamVector, records) -> ScoreCovariance:
-    """Average observed per-patient information over a reference sample."""
-    data = _complete_data(records)
-    info = _weighted_information(spec, params, data, None) / len(data)
-    return ScoreCovariance(values=info, mode="empirical", mc_samples=len(data))
-
-
 # ---------------------------------------------------------------------------
 # Maximum likelihood
 # ---------------------------------------------------------------------------
@@ -282,6 +275,8 @@ def _fit_node(node_id: str, u: np.ndarray, y: np.ndarray, theta0: np.ndarray, to
 
     The iteration runs on the node's distinct design rows. It fits the MLE,
     or Firth's estimate when the data are quasi-completely separated.
+    Returns the estimate, its report, and the node's information block at
+    the estimate.
     """
     if u.shape[1] > _MAX_COEFS:
         raise ModelConfigError(
@@ -311,7 +306,8 @@ def _fit_node(node_id: str, u: np.ndarray, y: np.ndarray, theta0: np.ndarray, to
             grad = rows.T @ resid
             gmax = float(np.max(np.abs(grad)))
             if gmax < tol:
-                return theta, NodeFitReport(node_id, it, True, gmax, "firth" if firth else "mle", separation)
+                report = NodeFitReport(node_id, it, True, gmax, "firth" if firth else "mle", separation)
+                return theta, report, info
             if it == max_iter:
                 break
             step = np.linalg.solve(info, grad)
@@ -364,15 +360,16 @@ def fit_mle(
     else:
         template = params_init
     values = template.values.copy()
+    info = np.zeros((len(values), len(values)))
     reports = []
     for vi, node in enumerate(spec.nodes):
-        design = node_designs(spec)[vi]
+        idx = node_designs(spec)[vi].param_indices
         u, y = node_design_matrix(spec, data, vi)
-        theta, report = _fit_node(node.id, u, y, values[design.param_indices], tol, max_iter)
-        values[design.param_indices] = theta
+        theta, report, block = _fit_node(node.id, u, y, values[idx], tol, max_iter)
+        values[idx] = theta
+        info[np.ix_(idx, idx)] = block
         reports.append(report)
     params = template.with_values(values)
-    info = fisher_information(spec, params, data)
     try:
         cov = np.linalg.inv(info)
     except np.linalg.LinAlgError:
@@ -382,6 +379,8 @@ def fit_mle(
         info=info,
         std_errors=np.sqrt(np.diag(cov)),
         node_reports=tuple(reports),
+        # summed over the records, not the cells: a cell sum differs in the
+        # last bits, and a restart at a converged fit must not report a lower value
         log_likelihood=log_likelihood(spec, params, data),
     )
 

@@ -16,16 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .chart import ASYMPTOTIC, COND_LIMIT, ChartConfig
-from .errors import ModelConfigError, ShiftError, SingularMatrixError
-from .model import (
-    CovariateModel,
-    DagModelSpec,
-    ParamVector,
-    PatientData,
-    PatientRecord,
-    node_designs,
-)
+from .chart import ChartConfig
+from .errors import ModelConfigError, ShiftError
+from .model import CovariateModel, DagModelSpec, ParamVector, PatientData, node_designs
 
 CHUNK = 2048  # replications per work unit; fixed so thread count cannot matter
 BUF = 256  # patients drawn per RNG call, amortizes generator overhead
@@ -122,11 +115,6 @@ def sample_patients(generator: PatientGenerator, n: int, rng) -> PatientData:
     return PatientData(x=xf.astype(np.int8), z=zf.astype(np.int8), y=yf.astype(np.int8))
 
 
-def sample_patient(generator: PatientGenerator, rng) -> PatientRecord:
-    """Draw a single patient."""
-    return sample_patients(generator, 1, rng).record(0)
-
-
 # ---------------------------------------------------------------------------
 # Vectorized run-length simulation
 # ---------------------------------------------------------------------------
@@ -156,60 +144,12 @@ class _CompiledSim:
             node_id, self.shift_kind, self.shift_c = generator.mu_shift
             self.shift_node = spec.node_index(node_id)
         self.p_full = spec.n_params
-        self.coords = np.array(config.coords, dtype=int) if config.coords is not None else None
         self.r_vec = config.r_vec
         self.warmup = config.warmup
-        self._build_chart(config, max_rl)
-
-    def _check_cond(self, mat: np.ndarray, config: ChartConfig):
-        evals = np.linalg.eigvalsh(mat)
-        if evals[0] <= 0.0 or evals[-1] / evals[0] > COND_LIMIT:
-            _, evecs = np.linalg.eigh(mat)
-            worst = np.argsort(np.abs(evecs[:, 0]))[::-1][:3]
-            names = config.coord_names
-            labels = [names[i] if names else str(i) for i in worst]
-            raise SingularMatrixError(
-                f"chart covariance is numerically singular; offending coordinates: {', '.join(labels)}"
-            )
-
-    def _build_chart(self, config: ChartConfig, max_rl: int):
-        sigma = config.sigma_s
-        self._check_cond(sigma, config)
-        if config.equal_r:
-            r0 = float(config.r_vec[0])
-            self.a_const = np.linalg.inv(sigma)
-            t_idx = np.arange(1, max_rl + 1, dtype=float)
-            if config.covariance_mode == ASYMPTOTIC:
-                self.factors = np.full(max_rl, r0 / (2.0 - r0))
-            else:
-                self.factors = r0 * (1.0 - (1.0 - r0) ** (2.0 * t_idx)) / (2.0 - r0)
-            self.a_stack = None
-        elif config.covariance_mode == ASYMPTOTIC:
-            inf = config.sigma_w_asymptotic()
-            self._check_cond(inf, config)
-            self.a_stack = [np.linalg.inv(inf)]
-            self.a_const = self.factors = None
-        else:
-            r = config.r_vec
-            rr = np.outer(r, r)
-            qq = np.outer(1.0 - r, 1.0 - r)
-            r_min = float(r.min())
-            # stack converges geometrically; beyond t_cap it is stationary
-            t_cap = max_rl if r_min == 1.0 else int(min(max_rl, np.ceil(-41.5 / (2.0 * np.log1p(-r_min))) + 1))
-            stack = []
-            sigma_t = np.zeros_like(sigma)
-            for _ in range(t_cap):
-                sigma_t = rr * sigma + qq * sigma_t
-                self._check_cond(sigma_t, config)
-                stack.append(np.linalg.inv(sigma_t))
-            self.a_stack = stack
-            self.a_const = self.factors = None
-
-    def t2(self, w: np.ndarray, t: int) -> np.ndarray:
-        if self.a_stack is None:
-            return ((w @ self.a_const) * w).sum(axis=1) / self.factors[t - 1]
-        a = self.a_stack[min(t, len(self.a_stack)) - 1]
-        return ((w @ a) * w).sum(axis=1)
+        self.evaluator = config.t2_evaluator
+        # every Sigma_W a run can reach is checked and inverted before any thread starts
+        self.evaluator.inverse(max_rl)
+        self.factors = self.evaluator.factor(np.arange(1, max_rl + 1, dtype=float))
 
     def step_scores(self, u: np.ndarray) -> np.ndarray:
         """Sample one patient per row from the uniforms and score at params0."""
@@ -245,8 +185,6 @@ class _CompiledSim:
             s[:, idx[0]] = resid
             for k, col in enumerate(cols, start=1):
                 s[:, idx[k]] = col * resid
-        if self.coords is not None:
-            return s[:, self.coords]
         return s
 
 
@@ -285,14 +223,16 @@ class RunLengthSample:
 
 def _simulate_chunk(
     sim: _CompiledSim,
-    seed_parts: tuple[int, ...],
-    rep_lo: int,
-    n_reps: int,
+    gens: list[np.random.Generator],
     cap: float,
     max_rl: int,
     track_records: bool,
 ):
-    gens = [replication_rng(seed_parts, rep_lo + i) for i in range(n_reps)]
+    """Run one replication per generator to its first T2 above cap or max_rl.
+
+    Each replication draws its patients BUF at a time from its own generator.
+    """
+    n_reps = len(gens)
     active = np.arange(n_reps)
     w = np.zeros((n_reps, sim.r_vec.shape[0]))
     rec = np.full(n_reps, -np.inf)
@@ -309,7 +249,7 @@ def _simulate_chunk(
                 buf[i] = gens[a].random((BUF, sim.k))
         s = sim.step_scores(buf[:, off, :])
         w = sim.r_vec * s + (1.0 - sim.r_vec) * w
-        t2 = sim.t2(w, t)
+        t2 = sim.evaluator.t2(w, t, sim.factors[t - 1])
         if t < sim.warmup:
             continue
         if track_records:
@@ -374,7 +314,8 @@ def simulate_run_lengths(
 
     def job(chunk):
         lo, n = chunk
-        return _simulate_chunk(sim, parts, lo, n, cap, max_rl, track_records)
+        gens = [replication_rng(parts, rep) for rep in range(lo, lo + n)]
+        return _simulate_chunk(sim, gens, cap, max_rl, track_records)
 
     if workers <= 1:
         results = [job(c) for c in chunks]

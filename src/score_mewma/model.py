@@ -300,9 +300,6 @@ class PatientRecord:
             raise ModelConfigError(f"outcome {node_id} is missing from the record")
         return val
 
-    def is_complete(self) -> bool:
-        return bool((self.y != MISSING).all())
-
 
 @dataclass(frozen=True)
 class PatientData:

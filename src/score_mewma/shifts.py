@@ -16,7 +16,7 @@ import numpy as np
 from .calibrate import ArlResult, estimate_arl
 from .chart import ChartConfig
 from .errors import ShiftError
-from .mc import PatientGenerator, apply_mean_shift, sample_patient, sample_patients  # noqa: F401
+from .mc import PatientGenerator, _seed_parts
 from .model import DagModelSpec, Model, ParamVector, enumerate_patients, node_means
 
 COEFFICIENT = "coefficient"
@@ -168,7 +168,7 @@ def run_arl_study(
     shift is active from patient 1.
     """
     rows = []
-    base = tuple(int(s) for s in (seed if isinstance(seed, (tuple, list)) else (seed,)))
+    base = _seed_parts(seed)
     for i, c in enumerate(grid.c_values):
         shifted = apply_shift(generator, grid.shift.with_c(c))
         arl = estimate_arl(
@@ -201,7 +201,7 @@ def run_pair_study(
     two single-coefficient rows, the comparison lines of a pair-shift plot.
     """
     rows = []
-    base = tuple(int(s) for s in (seed if isinstance(seed, (tuple, list)) else (seed,)))
+    base = _seed_parts(seed)
     idx = 0
     for a, b in pairs:
         for template in (

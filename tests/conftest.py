@@ -7,11 +7,18 @@ mean_response, and joint enumeration uses explicit python loops.
 
 import itertools
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import score_mewma as sm
+
+# CLI tests start `python -m score_mewma` in a subprocess; give it the src/
+# that pyproject's pytest `pythonpath` gives this process
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture(scope="session")

@@ -105,6 +105,29 @@ def test_phase1_refit_mode_runs():
     assert res.reps == 8
 
 
+@pytest.mark.parametrize("seed", [2, 5, 11])
+def test_phase1_run_lengths_match_reference_stream(delivery, setup, seed):
+    # reference: refit on the replication's Phase-I sample, then run_stream
+    # over patients drawn after it from the same generator
+    gen, config = setup
+    # at h = 80 these seeds give run lengths from 1 to censored at max_rl,
+    # some past the first 256-patient block
+    config = config.with_h(80.0)
+    reps, max_rl, phase1_size = 3, 300, 1000
+    res = sm.estimate_arl(gen, delivery.params, config, reps=reps, max_rl=max_rl, seed=seed, phase1_size=phase1_size)
+    expected = []
+    for rep in range(reps):
+        rng = sm.replication_rng(seed, rep)
+        phase1 = sm.sample_patients(gen, phase1_size, rng)
+        fit = sm.fit_mle(delivery.spec, phase1, params_init=delivery.params)
+        sigma = sm.expected_score_covariance(delivery.spec, fit.params, delivery.covariates).values
+        rep_config = sm.ChartConfig(sigma_s=sigma, r=0.1, h=80.0)
+        patients = sm.sample_patients(gen, max_rl, rng)
+        trace = sm.run_stream(delivery.spec, fit.params, rep_config, patients, stop_at_signal=True)
+        expected.append(next((t for t, _, signal in trace if signal), max_rl))
+    np.testing.assert_array_equal(res.run_lengths, expected)
+
+
 def test_signal_fraction_consistent_with_target(delivery, setup):
     # roughly geometric run lengths: P(RL <= target) near 1 - (1 - 1/ARL)^ARL
     gen, config = setup

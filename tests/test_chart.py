@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import score_mewma as sm
-from score_mewma.chart import ASYMPTOTIC
+from score_mewma.chart import ASYMPTOTIC, EXACT_RECURSIVE
 from score_mewma.errors import ModelConfigError, SingularMatrixError
 
 
@@ -161,6 +161,34 @@ def test_singularity_error_names_coordinates():
     state = sm.init_state(config)
     with pytest.raises(SingularMatrixError, match="bad"):
         sm.update(state, np.array([1.0, 1.0]))
+
+
+@pytest.mark.parametrize(
+    "r, mode", [(0.5, EXACT_RECURSIVE), (0.5, ASYMPTOTIC), ((0.5, 0.2), EXACT_RECURSIVE), ((0.5, 0.2), ASYMPTOTIC)]
+)
+def test_update_and_kernel_raise_the_same_singularity_error(r, mode):
+    model = sm.model_from_dict(
+        {
+            "covariates": [{"id": "X1", "kind": "process", "prevalence": 0.4}],
+            "nodes": [
+                {
+                    "id": "Y1",
+                    "intercept": {"coef_name": "good", "value": -0.5},
+                    "process_parents": [{"var": "X1", "coef_name": "bad", "value": 0.8}],
+                }
+            ],
+        }
+    )
+    config = sm.ChartConfig(
+        sigma_s=np.diag([1.0, 1e-13]), r=r, h=1.0, covariance_mode=mode, coord_names=("good", "bad")
+    )
+    with pytest.raises(SingularMatrixError) as by_update:
+        sm.update(sm.init_state(config), np.array([1.0, 1.0]))
+    gen = sm.in_control_generator(model)
+    with pytest.raises(SingularMatrixError) as by_kernel:
+        sm.estimate_arl(gen, model.params, config, reps=4, max_rl=20, seed=0)
+    assert str(by_update.value) == str(by_kernel.value)
+    assert str(by_update.value).endswith("offending coordinates: bad, good")
 
 
 def test_config_validation():

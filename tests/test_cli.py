@@ -315,3 +315,39 @@ def test_version_and_usage():
     assert main(["--version"]) == 0
     assert main([]) == 2
     assert main(["simulate"]) == 2
+
+
+def test_singular_chart_covariance_exits_2(work, tmp_path, capsys):
+    root, model = work
+    doc = json.loads(open(model).read())
+    for cov in doc["covariates"]:
+        if cov["id"] == "X1":
+            cov["prevalence"] = 1e-13
+    rare = tmp_path / "rare_x1.json"
+    rare.write_text(json.dumps(doc))
+    data_csv = tmp_path / "rare.csv"
+    assert run("simulate", rare, rare, "--n", 20, "-o", data_csv) == 0
+    capsys.readouterr()
+    assert run("monitor", rare, rare, data_csv, "--h", 10, "-o", tmp_path / "trace.csv") == 2
+    assert run("calibrate", rare, rare, "--target-arl", 20, "--reps", 100, "-o", tmp_path / "cal.json") == 2
+    err = capsys.readouterr().err
+    assert err.count("numerically singular") == 2 and "beta11" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("h", ["inf", "nan", "0"])
+def test_nonfinite_or_nonpositive_h_rejected_at_parse_time(work, tmp_path, h):
+    root, model = work
+    out = tmp_path / "out.csv"
+    assert run("monitor", model, model, root / "fitdata.csv", "--h", h, "-o", out) == 2
+    assert run("study", model, model, "--shift", "coefficient", "--targets", "beta24",
+               "--c-grid", "1.0", "--h", h, "-o", out) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", ["0", "-0.1"])
+def test_nonpositive_rel_tolerance_rejected_at_parse_time(work, tmp_path, tol):
+    root, model = work
+    out = tmp_path / "cal.json"
+    assert run("calibrate", model, model, "--target-arl", 20, "--rel-tolerance", tol, "-o", out) == 2
+    assert not out.exists()
