@@ -26,7 +26,7 @@ from .errors import (
     ShiftError,
     SingularMatrixError,
 )
-from .likelihood import expected_score_covariance, fit_mle
+from .likelihood import MIN_MC_SAMPLES, expected_score_covariance, fit_mle
 from .mc import PatientGenerator, sample_patients
 from .model import model_hash
 from .shifts import (
@@ -44,11 +44,15 @@ def _err(msg: str) -> None:
     print(f"score-mewma: {msg}", file=sys.stderr)
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1")
-    return value
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
 
 
 def _positive_finite(text: str) -> float:
@@ -73,7 +77,7 @@ def _chart_sigma(model, params, args):
         model.covariates,
         mc_fallback=(mode == "mc"),
         enum_limit=0 if mode == "mc" else 16,
-        mc_samples=getattr(args, "sigma_samples", 100_000),
+        mc_samples=args.sigma_samples,
         seed=getattr(args, "seed", 0) or 0,
     )
     return cov
@@ -271,7 +275,7 @@ def cmd_simulate(args) -> int:
 
 def _add_chart_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--r", type=float, default=0.1, help="EWMA smoothing weight (default 0.1)")
-    p.add_argument("--warmup", type=_positive_int, default=1, help="patients before signals count")
+    p.add_argument("--warmup", type=_int_at_least(1), default=1, help="patients before signals count")
     p.add_argument(
         "--covariance-mode",
         choices=["exact-recursive", "asymptotic"],
@@ -280,10 +284,10 @@ def _add_chart_options(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--sigma-mode", choices=["exact", "mc"], default="exact",
                    help="score covariance by exact enumeration or Monte Carlo")
-    p.add_argument("--sigma-samples", type=_positive_int, default=100_000,
-                   help="samples for --sigma-mode mc")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker threads (default: SCORE_MEWMA_THREADS or auto)")
+    p.add_argument("--sigma-samples", type=_int_at_least(MIN_MC_SAMPLES), default=MIN_MC_SAMPLES,
+                   help=f"samples for --sigma-mode mc (at least {MIN_MC_SAMPLES})")
+    p.add_argument("--threads", type=_int_at_least(0), default=None,
+                   help="worker threads, 0 for auto (default: SCORE_MEWMA_THREADS or auto)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -304,10 +308,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model_config")
     p.add_argument("params")
     p.add_argument("--target-arl", type=_target_arl, required=True)
-    p.add_argument("--reps", type=_positive_int, default=10_000, help="final-stage replications")
+    p.add_argument("--reps", type=_int_at_least(1), default=10_000, help="final-stage replications")
     p.add_argument("--rel-tolerance", type=_positive_finite, default=0.02)
-    p.add_argument("--max-rl", type=_positive_int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--max-rl", type=_int_at_least(1), default=None)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     _add_chart_options(p)
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=cmd_calibrate)
@@ -320,9 +324,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--targets", required=True, help="comma-separated coefficient or outcome names")
     p.add_argument("--c-grid", required=True, help="list a,b,c or range start:stop:step")
     p.add_argument("--h", type=_positive_finite, required=True, help="calibrated control limit")
-    p.add_argument("--reps", type=_positive_int, default=5000)
-    p.add_argument("--max-rl", type=_positive_int, default=4000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--reps", type=_int_at_least(1), default=5000)
+    p.add_argument("--max-rl", type=_int_at_least(1), default=4000)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--emit-plot-data", metavar="PATH", default=None)
     _add_chart_options(p)
     p.add_argument("-o", "--out", required=True)
@@ -340,8 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="write a synthetic patient CSV")
     p.add_argument("model_config")
     p.add_argument("params")
-    p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--n", type=_int_at_least(1), required=True)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--shift", default=None,
                    choices=["coefficient", "coefficient-pair", "mean-additive", "mean-odds"])
     p.add_argument("--targets", default=None)

@@ -9,6 +9,7 @@ iterable of PatientRecord.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import linprog
@@ -18,78 +19,97 @@ from .errors import DataFormatError, FitError, ModelConfigError, SeparationError
 from .model import (
     CovariateModel,
     DagModelSpec,
+    NodeDesign,
     PatientData,
     ParamVector,
     as_patient_data,
     enumerate_patients,
     node_designs,
+    node_eta,
 )
 
 
-def _complete_data(records) -> PatientData:
+def _complete_bits(records) -> np.ndarray:
+    """Complete records as one float bit matrix laid out [x | z | y]."""
     data = as_patient_data(records)
     if (data.y < 0).any():
         raise ModelConfigError("records must be complete (no missing outcomes)")
-    return data
+    return data.bits()
+
+
+def _binary_bits(records) -> np.ndarray:
+    """Complete records whose every covariate and outcome is 0 or 1."""
+    bits = _complete_bits(records)
+    if ((bits != 0.0) & (bits != 1.0)).any():
+        raise DataFormatError("the likelihood needs every covariate and outcome to be 0 or 1")
+    return bits
+
+
+def _design_rows(design: NodeDesign, bits: np.ndarray) -> np.ndarray:
+    # stacked from 1-D columns, so C-ordered: BLAS rounds u.T @ (u * w) of an
+    # F-ordered u differently (exact Sigma_S moved by 5e-16 relative)
+    return np.column_stack([np.ones(bits.shape[0])] + [bits[:, col] for col in design.cols])
+
+
+def _means(designs, params: ParamVector, bits: np.ndarray) -> list[np.ndarray]:
+    """Each node's mean response at params for every bit row."""
+    return [expit(node_eta(d, params.values[d.param_indices], bits)) for d in designs]
 
 
 def node_design_matrix(spec: DagModelSpec, data: PatientData, node_index: int) -> tuple[np.ndarray, np.ndarray]:
     """Design matrix U_v and response column for one node."""
     design = node_designs(spec)[node_index]
-    n = len(data)
-    cols = [np.ones(n)]
-    xf, zf, yf = data.x.astype(float), data.z.astype(float), data.y.astype(float)
-    cols.extend(xf[:, c] for c in design.x_cols)
-    cols.extend(yf[:, c] for c in design.y_cols)
-    cols.extend(zf[:, c] for c in design.z_cols)
-    return np.column_stack(cols), yf[:, design.node_index]
+    bits = data.bits()
+    return _design_rows(design, bits), bits[:, design.out_col]
+
+
+def score_rows(designs, bits: np.ndarray, means: list[np.ndarray]) -> np.ndarray:
+    """(n, p) per-patient score vectors from (n, k) bit rows and each node's
+    mean response: node v's block is u_v (y_v - mu_v) with u_v = [1, parent bits]."""
+    s = np.empty((bits.shape[0], designs[-1].param_indices[-1] + 1))
+    for design, mu in zip(designs, means):
+        resid = bits[:, design.out_col] - mu
+        first = int(design.param_indices[0])
+        s[:, first] = resid
+        for k, col in enumerate(design.cols, start=first + 1):
+            s[:, k] = bits[:, col] * resid
+    return s
 
 
 def log_likelihood(spec: DagModelSpec, params: ParamVector, records) -> float:
-    """Joint log-likelihood over all nodes and records, overflow safe."""
-    data = _complete_data(records)
+    """Joint log-likelihood over all nodes and records, overflow safe.
+
+    Each node's term is summed over its distinct parent patterns, as
+    ``fit_mle`` reports it, so the data must be 0/1 (DataFormatError) and a
+    node may have at most 62 parents (ModelConfigError).
+    """
+    bits = _binary_bits(records)
     total = 0.0
-    for vi in range(spec.n_nodes):
-        u, y = node_design_matrix(spec, data, vi)
-        eta = u @ params.values[node_designs(spec)[vi].param_indices]
-        # y*eta - log(1 + exp(eta)), with the log-sum computed stably
-        total += float(np.sum(y * eta - np.logaddexp(0.0, eta)))
+    for node, design in zip(spec.nodes, node_designs(spec)):
+        total += _node_objective(_node_cells(node.id, design, bits), params.values[design.param_indices], False)
     return total
 
 
 def per_record_scores(spec: DagModelSpec, params: ParamVector, records) -> np.ndarray:
     """Matrix of per-patient score vectors, one row per record."""
-    data = _complete_data(records)
-    out = np.zeros((len(data), len(params)))
-    for vi in range(spec.n_nodes):
-        design = node_designs(spec)[vi]
-        u, y = node_design_matrix(spec, data, vi)
-        mu = expit(u @ params.values[design.param_indices])
-        out[:, design.param_indices] = u * (y - mu)[:, None]
-    return out
+    bits = _complete_bits(records)
+    designs = node_designs(spec)
+    return score_rows(designs, bits, _means(designs, params, bits))
 
 
 def score(spec: DagModelSpec, params: ParamVector, records) -> np.ndarray:
     """Score vector: sum over records of u_v (y_v - mu_v), per coefficient."""
-    data = _complete_data(records)
-    out = np.zeros(len(params))
-    for vi in range(spec.n_nodes):
-        design = node_designs(spec)[vi]
-        u, y = node_design_matrix(spec, data, vi)
-        mu = expit(u @ params.values[design.param_indices])
-        out[design.param_indices] = u.T @ (y - mu)
-    return out
+    return per_record_scores(spec, params, records).sum(axis=0)
 
 
 def _weighted_information(
-    spec: DagModelSpec, params: ParamVector, data: PatientData, weights: np.ndarray | None
+    spec: DagModelSpec, params: ParamVector, bits: np.ndarray, weights: np.ndarray | None
 ) -> np.ndarray:
     p = len(params)
     out = np.zeros((p, p))
-    for vi in range(spec.n_nodes):
-        design = node_designs(spec)[vi]
-        u, _ = node_design_matrix(spec, data, vi)
-        mu = expit(u @ params.values[design.param_indices])
+    designs = node_designs(spec)
+    for design, mu in zip(designs, _means(designs, params, bits)):
+        u = _design_rows(design, bits)
         w = mu * (1.0 - mu)
         if weights is not None:
             w = w * weights
@@ -100,7 +120,7 @@ def _weighted_information(
 
 def fisher_information(spec: DagModelSpec, params: ParamVector, records) -> np.ndarray:
     """Observed information: block diagonal sum of u u' mu (1 - mu)."""
-    return _weighted_information(spec, params, _complete_data(records), None)
+    return _weighted_information(spec, params, _complete_bits(records), None)
 
 
 @dataclass(frozen=True)
@@ -113,43 +133,47 @@ class ScoreCovariance:
     mc_samples: int = 0
 
 
+# the fewest patients the Monte Carlo score covariance may average over
+MIN_MC_SAMPLES = 100_000
+
+
 def expected_score_covariance(
     spec: DagModelSpec,
     params: ParamVector,
     covariates: CovariateModel,
     enum_limit: int = 16,
     mc_fallback: bool = False,
-    mc_samples: int = 100_000,
+    mc_samples: int = MIN_MC_SAMPLES,
     seed: int = 0,
 ) -> ScoreCovariance:
     """Expected per-patient information over the joint law of (x, z, y).
 
     Small models are enumerated exactly; above ``enum_limit`` binary
-    variables a Monte Carlo average over sampled patients is used when
-    ``mc_fallback`` is set, with an entrywise standard error estimate.
+    variables a Monte Carlo average over ``mc_samples`` sampled patients is
+    used when ``mc_fallback`` is set, with an entrywise standard error
+    estimate. Fewer than 100,000 samples raise ModelConfigError.
     """
     n_binary = len(spec.covariate_names) + spec.n_nodes
     if n_binary <= enum_limit:
         data, probs = enumerate_patients(spec, params, covariates, limit=enum_limit)
-        return ScoreCovariance(values=_weighted_information(spec, params, data, probs), mode="exact")
+        return ScoreCovariance(values=_weighted_information(spec, params, data.bits(), probs), mode="exact")
     if not mc_fallback:
         raise ModelConfigError(
             f"model has {n_binary} binary variables, above the enumeration limit of "
             f"{enum_limit}; enable mc_fallback to use Monte Carlo"
         )
-    if mc_samples < 100_000:
-        mc_samples = 100_000
+    if mc_samples < MIN_MC_SAMPLES:
+        raise ModelConfigError(f"mc_samples must be at least {MIN_MC_SAMPLES}, got {mc_samples}")
     from .mc import PatientGenerator, sample_patients
 
     gen = PatientGenerator(spec=spec, params=params, covariates=covariates)
-    data = sample_patients(gen, mc_samples, seed)
+    bits = sample_patients(gen, mc_samples, seed).bits()
     p = len(params)
     mean = np.zeros((p, p))
     second = np.zeros((p, p))
-    for vi in range(spec.n_nodes):
-        design = node_designs(spec)[vi]
-        u, _ = node_design_matrix(spec, data, vi)
-        mu = expit(u @ params.values[design.param_indices])
+    designs = node_designs(spec)
+    for design, mu in zip(designs, _means(designs, params, bits)):
+        u = _design_rows(design, bits)
         w = mu * (1.0 - mu)
         idx = np.ix_(design.param_indices, design.param_indices)
         mean[idx] = u.T @ (u * w[:, None]) / mc_samples
@@ -173,8 +197,8 @@ _ROUNDOFF = 1e-12
 _HALVINGS = 30
 # A separation LP optimum above this is positive; HiGHS solves to 1e-7.
 _LP_EPS = 1e-6
-# The most coefficients a node may have: its design rows are keyed as int64.
-_MAX_COEFS = 63
+# The most parents a node may have: its parent patterns are keyed as int64.
+_MAX_PARENTS = 62
 
 
 @dataclass(frozen=True)
@@ -211,19 +235,37 @@ class FitResult:
         return float(self.std_errors[self.params.index_map[name]])
 
 
-def _node_cells(u: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distinct rows of a 0/1 design, with the counts of y = 0 and y = 1 at each.
+class _Cells(NamedTuple):
+    """One node's distinct parent patterns: a bit row holding each pattern
+    (zero outside the parent columns), its design row, and the numbers of
+    records and of y = 1 at it."""
 
-    Each row is keyed by its bits as one int64, so the design may have at
-    most _MAX_COEFS columns. np.unique(u, axis=0) has no such limit, but
+    design: NodeDesign
+    bits: np.ndarray
+    rows: np.ndarray
+    total: np.ndarray
+    ones: np.ndarray
+
+
+def _node_cells(node_id: str, design: NodeDesign, bits: np.ndarray) -> _Cells:
+    """Group 0/1 bit rows by the node's parent pattern.
+
+    Each pattern is keyed by its bits as one int64, so the node may have at
+    most _MAX_PARENTS parents. np.unique on the rows has no such limit, but
     sorting float rows makes fit_mle about four times slower at n = 2000.
     """
-    p = u.shape[1]
-    keys, inv = np.unique((u > 0.5) @ (1 << np.arange(p)), return_inverse=True)
-    rows = ((keys[:, None] >> np.arange(p)) & 1).astype(float)
-    ones = np.bincount(inv, weights=y, minlength=len(rows))
-    total = np.bincount(inv, minlength=len(rows)).astype(float)
-    return rows, total - ones, ones
+    q = len(design.cols)
+    if q > _MAX_PARENTS:
+        raise ModelConfigError(
+            f"node {node_id}: the likelihood supports at most {_MAX_PARENTS} parents "
+            f"per node, got {q}"
+        )
+    keys, inv = np.unique((bits[:, design.cols] > 0.5) @ (1 << np.arange(q)), return_inverse=True)
+    cell_bits = np.zeros((len(keys), bits.shape[1]))
+    cell_bits[:, design.cols] = (keys[:, None] >> np.arange(q)) & 1
+    ones = np.bincount(inv, weights=bits[:, design.out_col], minlength=len(keys))
+    total = np.bincount(inv, minlength=len(keys)).astype(float)
+    return _Cells(design, cell_bits, _design_rows(design, cell_bits), total, ones)
 
 
 def _lp_max(objective: np.ndarray, a_ub: np.ndarray, bounds: list) -> float:
@@ -259,33 +301,27 @@ def _separation(rows: np.ndarray, zeros: np.ndarray, ones: np.ndarray) -> str:
     return "none"
 
 
-def _node_objective(rows, total, ones, theta, firth: bool) -> float:
+def _node_objective(cells: _Cells, theta: np.ndarray, firth: bool) -> float:
     """Log-likelihood of one node's cells, plus 1/2 log det I for Firth."""
-    eta = rows @ theta
-    value = float(ones @ eta - total @ np.logaddexp(0.0, eta))
+    eta = node_eta(cells.design, theta, cells.bits)
+    value = float(cells.ones @ eta - cells.total @ np.logaddexp(0.0, eta))
     if not firth:
         return value
     mu = expit(eta)
-    sign, logdet = np.linalg.slogdet(rows.T @ (rows * (total * mu * (1.0 - mu))[:, None]))
+    rows = cells.rows
+    sign, logdet = np.linalg.slogdet(rows.T @ (rows * (cells.total * mu * (1.0 - mu))[:, None]))
     return value + 0.5 * logdet if sign > 0 else -np.inf
 
 
-def _fit_node(node_id: str, u: np.ndarray, y: np.ndarray, theta0: np.ndarray, tol: float, max_iter: int):
+def _fit_node(node_id: str, cells: _Cells, theta0: np.ndarray, tol: float, max_iter: int):
     """Newton iterations with step halving for one node's block.
 
-    The iteration runs on the node's distinct design rows. It fits the MLE,
-    or Firth's estimate when the data are quasi-completely separated.
-    Returns the estimate, its report, and the node's information block at
-    the estimate.
+    The iteration runs on the node's cells. It fits the MLE, or Firth's
+    estimate when the data are quasi-completely separated. Returns the
+    estimate, its report, and the node's information block at the estimate.
     """
-    if u.shape[1] > _MAX_COEFS:
-        raise ModelConfigError(
-            f"node {node_id}: fitting supports at most {_MAX_COEFS - 1} parents per node, "
-            f"got {u.shape[1] - 1}"
-        )
-    rows, zeros, ones = _node_cells(u, y)
-    total = zeros + ones
-    separation = _separation(rows, zeros, ones)
+    rows, total, ones = cells.rows, cells.total, cells.ones
+    separation = _separation(rows, total - ones, ones)
     if separation == "complete":
         raise SeparationError(
             f"node {node_id}: the outcome is completely separated by the node's parents; "
@@ -293,9 +329,9 @@ def _fit_node(node_id: str, u: np.ndarray, y: np.ndarray, theta0: np.ndarray, to
         )
     firth = separation == "quasi-complete"
     theta = theta0.copy()
-    objective = _node_objective(rows, total, ones, theta, firth)
+    objective = _node_objective(cells, theta, firth)
     for it in range(max_iter + 1):
-        mu = expit(rows @ theta)
+        mu = expit(node_eta(cells.design, theta, cells.bits))
         w = total * mu * (1.0 - mu)
         info = rows.T @ (rows * w[:, None])
         resid = ones - total * mu
@@ -315,7 +351,7 @@ def _fit_node(node_id: str, u: np.ndarray, y: np.ndarray, theta0: np.ndarray, to
             raise FitError(f"node {node_id}: singular information matrix during fitting") from None
         for _ in range(_HALVINGS):
             trial = theta + step
-            trial_objective = _node_objective(rows, total, ones, trial, firth)
+            trial_objective = _node_objective(cells, trial, firth)
             if trial_objective >= objective - _ROUNDOFF * (1.0 + abs(objective)):
                 break
             step = step / 2.0
@@ -350,11 +386,9 @@ def fit_mle(
     and outcome is 0 or 1, and ModelConfigError for a node with more than
     62 parents.
     """
-    data = _complete_data(records)
-    if len(data) < 1:
+    bits = _binary_bits(records)
+    if len(bits) < 1:
         raise FitError("at least one record is required")
-    if any(((block != 0) & (block != 1)).any() for block in (data.x, data.z, data.y)):
-        raise DataFormatError("fitting needs every covariate and outcome to be 0 or 1")
     if params_init is None:
         template = ParamVector.for_spec(spec, {n: 0.0 for node in spec.nodes for n in node.coef_names()})
     else:
@@ -362,13 +396,16 @@ def fit_mle(
     values = template.values.copy()
     info = np.zeros((len(values), len(values)))
     reports = []
-    for vi, node in enumerate(spec.nodes):
-        idx = node_designs(spec)[vi].param_indices
-        u, y = node_design_matrix(spec, data, vi)
-        theta, report, block = _fit_node(node.id, u, y, values[idx], tol, max_iter)
+    loglik = 0.0
+    for node, design in zip(spec.nodes, node_designs(spec)):
+        idx = design.param_indices
+        cells = _node_cells(node.id, design, bits)
+        theta, report, block = _fit_node(node.id, cells, values[idx], tol, max_iter)
         values[idx] = theta
         info[np.ix_(idx, idx)] = block
         reports.append(report)
+        # the plain log-likelihood also for Firth nodes, summed as log_likelihood sums it
+        loglik += _node_objective(cells, theta, False)
     params = template.with_values(values)
     try:
         cov = np.linalg.inv(info)
@@ -379,9 +416,7 @@ def fit_mle(
         info=info,
         std_errors=np.sqrt(np.diag(cov)),
         node_reports=tuple(reports),
-        # summed over the records, not the cells: a cell sum differs in the
-        # last bits, and a restart at a converged fit must not report a lower value
-        log_likelihood=log_likelihood(spec, params, data),
+        log_likelihood=loglik,
     )
 
 
@@ -419,7 +454,7 @@ def standardized_cumulative_score(
     (n, p) path is returned. ``info`` defaults to the average observed
     per-patient information over the supplied records.
     """
-    data = _complete_data(records)
+    data = as_patient_data(records)
     n = len(data)
     scores = per_record_scores(spec, params0, data)
     if info is None:

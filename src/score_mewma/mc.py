@@ -18,7 +18,8 @@ from scipy.special import expit
 
 from .chart import ChartConfig
 from .errors import ModelConfigError, ShiftError
-from .model import CovariateModel, DagModelSpec, ParamVector, PatientData, node_designs
+from .likelihood import score_rows
+from .model import CovariateModel, DagModelSpec, ParamVector, PatientData, node_designs, node_eta
 
 CHUNK = 2048  # replications per work unit; fixed so thread count cannot matter
 BUF = 256  # patients drawn per RNG call, amortizes generator overhead
@@ -27,13 +28,21 @@ ENV_THREADS = "SCORE_MEWMA_THREADS"
 
 
 def resolve_threads(threads: int | None = None) -> int:
-    """Worker count: explicit argument, else SCORE_MEWMA_THREADS, else auto."""
+    """Worker count: explicit argument, else SCORE_MEWMA_THREADS, else auto (0).
+
+    A negative count, or an environment value that is not an integer,
+    raises ModelConfigError.
+    """
     if threads is None:
-        raw = os.environ.get(ENV_THREADS, "").strip()
-        threads = int(raw) if raw else 0
+        raw = os.environ.get(ENV_THREADS, "").strip() or "0"
+        if not raw.isdecimal():
+            raise ModelConfigError(f"{ENV_THREADS} must be a non-negative integer, got {raw!r}")
+        threads = int(raw)
+    if threads < 0:
+        raise ModelConfigError(f"threads must be non-negative, got {threads}")
     if threads == 0:
         threads = min(os.cpu_count() or 1, 4)
-    return max(1, int(threads))
+    return int(threads)
 
 
 def _seed_parts(seed) -> tuple[int, ...]:
@@ -67,44 +76,60 @@ class PatientGenerator:
     covariates: CovariateModel
     mu_shift: tuple[str, str, float] | None = None  # (node id, kind, c)
 
-    def mu_transform(self, node_id: str, mu: np.ndarray) -> np.ndarray:
-        if self.mu_shift is None or self.mu_shift[0] != node_id:
-            return mu
-        _, kind, c = self.mu_shift
-        return apply_mean_shift(kind, c, mu)
+
+class _AncestralPass:
+    """Ancestral sampling under a generator, with each node's mean at params0.
+
+    Called with an (n, k) block of uniforms, one row per patient laid out
+    like the ``[x | z | y]`` bit row, it returns the (n, k) float bit matrix
+    and, per node, the mean response at params0 of every patient. A node
+    whose params0 block equals the generator's reuses the generating mean
+    before any mean shift.
+    """
+
+    def __init__(self, generator: PatientGenerator, params0: ParamVector):
+        spec = generator.spec
+        if len(params0) != spec.n_params:
+            raise ModelConfigError("params0 does not match the model's coefficient layout")
+        self.designs = node_designs(spec)
+        self.p_cov = np.concatenate(generator.covariates.arrays(spec))
+        self.theta_gen = [generator.params.values[d.param_indices] for d in self.designs]
+        self.theta0 = [params0.values[d.param_indices] for d in self.designs]
+        self.same = [np.array_equal(a, b) for a, b in zip(self.theta_gen, self.theta0)]
+        self.shift_node, self.shift = -1, None
+        if generator.mu_shift is not None:
+            node_id, kind, c = generator.mu_shift
+            self.shift_node, self.shift = spec.node_index(node_id), (kind, c)
+
+    def __call__(self, u: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        n_cov = self.p_cov.shape[0]
+        bits = np.empty(u.shape)
+        bits[:, :n_cov] = u[:, :n_cov] < self.p_cov
+        means = []
+        for vi, design in enumerate(self.designs):
+            mu = expit(node_eta(design, self.theta_gen[vi], bits))
+            means.append(mu if self.same[vi] else expit(node_eta(design, self.theta0[vi], bits)))
+            if vi == self.shift_node:
+                mu = apply_mean_shift(*self.shift, mu)
+            bits[:, design.out_col] = u[:, design.out_col] < mu
+        return bits, means
 
 
 def _generate_batch(generator: PatientGenerator, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ancestral sampling driven by pre-drawn uniforms, one row per patient."""
-    spec = generator.spec
-    nx, nz = len(spec.process_ids), len(spec.risk_ids)
-    px, pz = generator.covariates.arrays(spec)
-    n = u.shape[0]
-    xf = (u[:, :nx] < px).astype(float)
-    zf = (u[:, nx : nx + nz] < pz).astype(float)
-    yf = np.empty((n, spec.n_nodes))
-    designs = node_designs(spec)
-    for vi, node in enumerate(spec.nodes):
-        design = designs[vi]
-        theta = generator.params.values[design.param_indices]
-        eta = np.full(n, theta[0])
-        k = 1
-        for c in design.x_cols:
-            eta += theta[k] * xf[:, c]
-            k += 1
-        for c in design.y_cols:
-            eta += theta[k] * yf[:, c]
-            k += 1
-        for c in design.z_cols:
-            eta += theta[k] * zf[:, c]
-            k += 1
-        mu = generator.mu_transform(node.id, expit(eta))
-        yf[:, vi] = u[:, nx + nz + vi] < mu
-    return xf, zf, yf
+    """Ancestral sampling driven by pre-drawn uniforms, one row per patient;
+    returns the x, z and y bits as float blocks."""
+    bits, _ = _AncestralPass(generator, generator.params)(u)
+    nx, nz = len(generator.spec.process_ids), len(generator.spec.risk_ids)
+    return bits[:, :nx], bits[:, nx : nx + nz], bits[:, nx + nz :]
 
 
 def sample_patients(generator: PatientGenerator, n: int, rng) -> PatientData:
-    """Draw n patients by ancestral sampling; rng may be a Generator or seed."""
+    """Draw n patients by ancestral sampling; rng may be a Generator or seed.
+
+    Each patient consumes one row of k uniforms from ``rng``, laid out
+    ``[x | z | y]``; a covariate or outcome is 1 when its uniform is below
+    its probability (its mean response for an outcome, after any mean shift).
+    """
     if n < 1:
         raise ModelConfigError("n must be at least 1")
     if not isinstance(rng, np.random.Generator):
@@ -112,7 +137,7 @@ def sample_patients(generator: PatientGenerator, n: int, rng) -> PatientData:
     spec = generator.spec
     k = len(spec.covariate_names) + spec.n_nodes
     xf, zf, yf = _generate_batch(generator, rng.random((n, k)))
-    return PatientData(x=xf.astype(np.int8), z=zf.astype(np.int8), y=yf.astype(np.int8))
+    return PatientData(x=xf, z=zf, y=yf)
 
 
 # ---------------------------------------------------------------------------
@@ -124,68 +149,14 @@ class _CompiledSim:
     """Arrays and index plans shared by every chunk of one simulation."""
 
     def __init__(self, generator: PatientGenerator, params0: ParamVector, config: ChartConfig, max_rl: int):
-        spec = generator.spec
-        if len(params0) != spec.n_params:
-            raise ModelConfigError("params0 does not match the model's coefficient layout")
-        self.spec = spec
-        self.nx = len(spec.process_ids)
-        self.nz = len(spec.risk_ids)
-        self.nv = spec.n_nodes
-        self.k = self.nx + self.nz + self.nv
-        self.px, self.pz = generator.covariates.arrays(spec)
-        self.designs = node_designs(spec)
-        self.theta_gen = [generator.params.values[d.param_indices] for d in self.designs]
-        self.theta0 = [params0.values[d.param_indices] for d in self.designs]
-        self.same = [np.array_equal(a, b) for a, b in zip(self.theta_gen, self.theta0)]
-        if generator.mu_shift is None:
-            self.shift_node = -1
-            self.shift_kind = self.shift_c = None
-        else:
-            node_id, self.shift_kind, self.shift_c = generator.mu_shift
-            self.shift_node = spec.node_index(node_id)
-        self.p_full = spec.n_params
+        self.sample = _AncestralPass(generator, params0)
+        self.k = len(generator.spec.covariate_names) + generator.spec.n_nodes
         self.r_vec = config.r_vec
         self.warmup = config.warmup
         self.evaluator = config.t2_evaluator
         # every Sigma_W a run can reach is checked and inverted before any thread starts
         self.evaluator.inverse(max_rl)
         self.factors = self.evaluator.factor(np.arange(1, max_rl + 1, dtype=float))
-
-    def step_scores(self, u: np.ndarray) -> np.ndarray:
-        """Sample one patient per row from the uniforms and score at params0."""
-        n = u.shape[0]
-        xf = (u[:, : self.nx] < self.px).astype(float)
-        zf = (u[:, self.nx : self.nx + self.nz] < self.pz).astype(float)
-        yf = np.empty((n, self.nv))
-        s = np.empty((n, self.p_full))
-        blocks = (xf, yf, zf)
-        for vi in range(self.nv):
-            design = self.designs[vi]
-            cols = [xf[:, c] for c in design.x_cols]
-            cols += [yf[:, c] for c in design.y_cols]
-            cols += [zf[:, c] for c in design.z_cols]
-            th_g = self.theta_gen[vi]
-            eta_g = np.full(n, th_g[0])
-            for k, col in enumerate(cols, start=1):
-                eta_g = eta_g + th_g[k] * col
-            mu_g = expit(eta_g)
-            if vi == self.shift_node:
-                mu_g = apply_mean_shift(self.shift_kind, self.shift_c, mu_g)
-            yv = (u[:, self.nx + self.nz + vi] < mu_g).astype(float)
-            yf[:, vi] = yv
-            if self.same[vi]:
-                eta0 = eta_g
-            else:
-                th0 = self.theta0[vi]
-                eta0 = np.full(n, th0[0])
-                for k, col in enumerate(cols, start=1):
-                    eta0 = eta0 + th0[k] * col
-            resid = yv - expit(eta0)
-            idx = design.param_indices
-            s[:, idx[0]] = resid
-            for k, col in enumerate(cols, start=1):
-                s[:, idx[k]] = col * resid
-        return s
 
 
 @dataclass
@@ -247,7 +218,8 @@ def _simulate_chunk(
             buf = np.empty((active.size, BUF, sim.k))
             for i, a in enumerate(active):
                 buf[i] = gens[a].random((BUF, sim.k))
-        s = sim.step_scores(buf[:, off, :])
+        bits, means = sim.sample(buf[:, off, :])
+        s = score_rows(sim.sample.designs, bits, means)
         w = sim.r_vec * s + (1.0 - sim.r_vec) * w
         t2 = sim.evaluator.t2(w, t, sim.factors[t - 1])
         if t < sim.warmup:

@@ -14,7 +14,7 @@ import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Iterable, Mapping
 
 import numpy as np
 from scipy.special import expit
@@ -154,39 +154,56 @@ class DagModelSpec:
 class NodeDesign:
     """Index bookkeeping for one node's design row.
 
+    A patient's bits form one row laid out ``[x | z | y]``: process
+    variables, risk factors, then outcomes in node order. ``cols`` lists the
+    node's parent columns of that row in design-row order (after the
+    intercept), and ``out_col`` is the node's own outcome column.
     ``param_indices`` locates the node's coefficients in the flat vector, in
-    design-row order. Column index arrays point into the x, y and z blocks of
-    a patient record.
+    design-row order.
     """
 
     node_index: int
     param_indices: np.ndarray
-    x_cols: np.ndarray
-    y_cols: np.ndarray
-    z_cols: np.ndarray
+    cols: tuple[int, ...]
+    out_col: int
 
 
 @functools.lru_cache(maxsize=64)
 def node_designs(spec: DagModelSpec) -> tuple[NodeDesign, ...]:
     """Per-node design indexing, cached per spec."""
-    x_pos = {v: i for i, v in enumerate(spec.process_ids)}
-    z_pos = {v: i for i, v in enumerate(spec.risk_ids)}
-    y_pos = {v: i for i, v in enumerate(spec.node_ids)}
+    nx, nz = len(spec.process_ids), len(spec.risk_ids)
+    pos = {v: i for i, v in enumerate(spec.process_ids + spec.risk_ids + spec.node_ids)}
     designs = []
     offset = 0
     for vi, node in enumerate(spec.nodes):
         p_v = node.n_coefs
+        parents = node.process_parents + node.outcome_parents + node.risk_parents
         designs.append(
             NodeDesign(
                 node_index=vi,
                 param_indices=np.arange(offset, offset + p_v),
-                x_cols=np.array([x_pos[v] for v, _ in node.process_parents], dtype=int),
-                y_cols=np.array([y_pos[v] for v, _ in node.outcome_parents], dtype=int),
-                z_cols=np.array([z_pos[v] for v, _ in node.risk_parents], dtype=int),
+                cols=tuple(pos[v] for v, _ in parents),
+                out_col=nx + nz + vi,
             )
         )
         offset += p_v
     return tuple(designs)
+
+
+def node_eta(design: NodeDesign, theta: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """Linear predictor of one node for every row of an (n, k) bit matrix.
+
+    Accumulates theta_0 + sum_k theta_k bits[:, cols[k-1]] in design-row
+    order; every sampling, scoring and likelihood path takes its eta here.
+    """
+    cols = design.cols
+    if not cols:
+        return np.full(bits.shape[0], theta[0])
+    # the same sum as filling theta_0 and adding theta_1 b, one array call fewer
+    eta = theta[0] + theta[1] * bits[:, cols[0]]
+    for k in range(2, len(cols) + 1):
+        eta += theta[k] * bits[:, cols[k - 1]]
+    return eta
 
 
 @dataclass(frozen=True)
@@ -272,16 +289,6 @@ class CovariateModel:
         return px, pz
 
 
-def _binary_array(values, width: int, what: str, allow_missing: bool = False) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.int8).reshape(-1)
-    if arr.shape != (width,):
-        raise ModelConfigError(f"{what} must have length {width}, got {arr.shape[0]}")
-    allowed = (arr == 0) | (arr == 1) | (allow_missing & (arr == MISSING))
-    if not allowed.all():
-        raise ModelConfigError(f"{what} entries must be 0 or 1")
-    return arr
-
-
 @dataclass(frozen=True)
 class PatientRecord:
     """One patient: binary covariates and (possibly partial) outcomes.
@@ -334,6 +341,11 @@ class PatientData:
             y=np.stack([r.y for r in records]),
         )
 
+    def bits(self) -> np.ndarray:
+        """The records as one float 0/1 matrix laid out ``[x | z | y]``, the
+        row that ``NodeDesign`` columns index."""
+        return np.hstack([self.x, self.z, self.y]).astype(float)
+
     def record(self, i: int) -> PatientRecord:
         return PatientRecord(x=self.x[i], z=self.z[i], y=self.y[i])
 
@@ -349,69 +361,35 @@ def as_patient_data(records) -> PatientData:
 
 
 def linear_predictor(spec: DagModelSpec, params: ParamVector, node_id: str, record: PatientRecord) -> float:
-    """Linear predictor of one node for one patient.
+    """Linear predictor of one node for one patient, a scalar reference for node_eta.
 
     Raises ModelConfigError if a parent outcome is missing from the record.
     """
     node = spec.node(node_id)
     design = node_designs(spec)[spec.node_index(node_id)]
     theta = params.values[design.param_indices]
+    row = np.concatenate([record.x, record.z, record.y])
+    n_cov = len(spec.covariate_names)
     eta = theta[0]
-    k = 1
-    for col in design.x_cols:
-        eta += theta[k] * float(record.x[col])
-        k += 1
-    for col in design.y_cols:
-        yv = int(record.y[col])
-        if yv == MISSING:
+    for k, col in enumerate(design.cols, start=1):
+        if col >= n_cov and row[col] == MISSING:
             raise ModelConfigError(
-                f"node {node.id}: parent outcome {spec.node_ids[col]!r} is missing from the record"
+                f"node {node.id}: parent outcome {spec.node_ids[col - n_cov]!r} is missing from the record"
             )
-        eta += theta[k] * float(yv)
-        k += 1
-    for col in design.z_cols:
-        eta += theta[k] * float(record.z[col])
-        k += 1
+        eta += theta[k] * float(row[col])
     return float(eta)
-
-
-def node_means(
-    spec: DagModelSpec,
-    params: ParamVector,
-    x: np.ndarray,
-    z: np.ndarray,
-    y: np.ndarray,
-    node_index: int,
-) -> np.ndarray:
-    """Vector of mean responses for one node over a batch (columns as float)."""
-    design = node_designs(spec)[node_index]
-    theta = params.values[design.param_indices]
-    eta = np.full(x.shape[0], theta[0])
-    k = 1
-    for col in design.x_cols:
-        eta += theta[k] * x[:, col]
-        k += 1
-    for col in design.y_cols:
-        eta += theta[k] * y[:, col]
-        k += 1
-    for col in design.z_cols:
-        eta += theta[k] * z[:, col]
-        k += 1
-    return expit(eta)
 
 
 def enumerate_patients(
     spec: DagModelSpec,
     params: ParamVector,
     covariates: CovariateModel,
-    mu_transform: Callable[[str, np.ndarray], np.ndarray] | None = None,
     limit: int = 24,
 ) -> tuple[PatientData, np.ndarray]:
-    """Every (x, z, y) configuration with its exact joint probability.
-
-    ``mu_transform(node_id, mu)`` lets callers post-transform a node's mean
-    response, which is how mean-level shifts enter the generating law. The
-    number of binary variables must not exceed ``limit``.
+    """Every (x, z, y) configuration with its exact joint probability under
+    ``params`` and ``covariates`` (no mean shift). Configuration i has bit j
+    of i in column j of the ``[x | z | y]`` row. The number of binary
+    variables must not exceed ``limit``.
     """
     nx, nz, nv = len(spec.process_ids), len(spec.risk_ids), spec.n_nodes
     total = nx + nz + nv
@@ -420,24 +398,16 @@ def enumerate_patients(
             f"exact enumeration over {total} binary variables exceeds the limit of {limit}"
         )
     n = 1 << total
-    bits = (np.arange(n)[:, None] >> np.arange(total)[None, :]) & 1
-    x = bits[:, :nx].astype(np.int8)
-    z = bits[:, nx : nx + nz].astype(np.int8)
-    y = bits[:, nx + nz :].astype(np.int8)
-
+    bits = ((np.arange(n)[:, None] >> np.arange(total)[None, :]) & 1).astype(float)
     px, pz = covariates.arrays(spec)
-    xf, zf, yf = x.astype(float), z.astype(float), y.astype(float)
     probs = np.ones(n)
-    for j in range(nx):
-        probs *= np.where(xf[:, j] == 1.0, px[j], 1.0 - px[j])
-    for j in range(nz):
-        probs *= np.where(zf[:, j] == 1.0, pz[j], 1.0 - pz[j])
-    for vi, node in enumerate(spec.nodes):
-        mu = node_means(spec, params, xf, zf, yf, vi)
-        if mu_transform is not None:
-            mu = mu_transform(node.id, mu)
-        probs *= np.where(yf[:, vi] == 1.0, mu, 1.0 - mu)
-    return PatientData(x=x, z=z, y=y), probs
+    for j, p in enumerate(np.concatenate([px, pz])):
+        probs *= np.where(bits[:, j] == 1.0, p, 1.0 - p)
+    for design in node_designs(spec):
+        mu = expit(node_eta(design, params.values[design.param_indices], bits))
+        probs *= np.where(bits[:, design.out_col] == 1.0, mu, 1.0 - mu)
+    data = PatientData(x=bits[:, :nx], z=bits[:, nx : nx + nz], y=bits[:, nx + nz :])
+    return data, probs
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 
 from .calibrate import ArlResult, estimate_arl
 from .chart import ChartConfig
 from .errors import ShiftError
 from .mc import PatientGenerator, _seed_parts
-from .model import DagModelSpec, Model, ParamVector, enumerate_patients, node_means
+from .model import DagModelSpec, Model, ParamVector, enumerate_patients, node_designs, node_eta
 
 COEFFICIENT = "coefficient"
 COEFFICIENT_PAIR = "coefficient-pair"
@@ -81,8 +82,8 @@ def _check_mean_additive(generator: PatientGenerator, node_id: str, c: float) ->
             f"{n_binary} binary variables (limit {_ENUM_LIMIT})"
         )
     data, probs = enumerate_patients(spec, generator.params, generator.covariates, limit=_ENUM_LIMIT)
-    vi = spec.node_index(node_id)
-    mu = node_means(spec, generator.params, data.x.astype(float), data.z.astype(float), data.y.astype(float), vi)
+    design = node_designs(spec)[spec.node_index(node_id)]
+    mu = expit(node_eta(design, generator.params.values[design.param_indices], data.bits()))
     reachable = probs > 0.0
     shifted = mu[reachable] * (1.0 + c)
     if shifted.size and (shifted.max() >= 1.0 or shifted.min() <= 0.0):

@@ -351,3 +351,36 @@ def test_nonpositive_rel_tolerance_rejected_at_parse_time(work, tmp_path, tol):
     out = tmp_path / "cal.json"
     assert run("calibrate", model, model, "--target-arl", 20, "--rel-tolerance", tol, "-o", out) == 2
     assert not out.exists()
+
+
+def test_negative_seed_rejected_at_parse_time(work, tmp_path, capsys):
+    root, model = work
+    out = tmp_path / "out"
+    assert run("simulate", model, model, "--n", 10, "--seed", -1, "-o", out) == 2
+    assert run("calibrate", model, model, "--target-arl", 20, "--seed", -3, "-o", out) == 2
+    assert run("study", model, model, "--shift", "coefficient", "--targets", "beta24",
+               "--c-grid", "1.0", "--h", 10, "--seed", -2, "-o", out) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.count("must be at least 0") == 3
+
+
+def test_threads_env_not_an_integer_exits_2(work, tmp_path, monkeypatch, capsys):
+    root, model = work
+    monkeypatch.setenv("SCORE_MEWMA_THREADS", "abc")
+    out = tmp_path / "study.csv"
+    assert run("study", model, model, "--shift", "coefficient", "--targets", "beta24",
+               "--c-grid", "1.0", "--h", 10, "--reps", 20, "--max-rl", 50, "-o", out) == 2
+    err = capsys.readouterr().err
+    assert "SCORE_MEWMA_THREADS" in err and "'abc'" in err
+    assert "Traceback" not in err
+
+
+def test_negative_threads_and_few_sigma_samples_rejected_at_parse_time(work, tmp_path, capsys):
+    root, model = work
+    out = tmp_path / "cal.json"
+    assert run("calibrate", model, model, "--target-arl", 20, "--threads", -4, "-o", out) == 2
+    assert run("calibrate", model, model, "--target-arl", 20, "--sigma-mode", "mc",
+               "--sigma-samples", 10, "-o", out) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "must be at least 0" in err and "must be at least 100000" in err

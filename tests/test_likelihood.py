@@ -313,3 +313,19 @@ def test_cumulative_score_singular_info(delivery):
     bad = np.zeros((17, 17))
     with pytest.raises(SingularMatrixError):
         sm.standardized_cumulative_score(delivery.spec, delivery.params, data, info=bad)
+
+
+def test_expected_score_covariance_rejects_few_mc_samples(delivery):
+    with pytest.raises(sm.ModelConfigError, match="at least 100000"):
+        sm.expected_score_covariance(
+            delivery.spec, delivery.params, delivery.covariates, enum_limit=0, mc_fallback=True, mc_samples=10
+        )
+
+
+def test_fit_mle_reports_log_likelihood_bit_equal(delivery):
+    data = sm.sample_patients(sm.in_control_generator(delivery), 2000, 8)
+    fit = sm.fit_mle(delivery.spec, data, params_init=delivery.params)
+    assert fit.log_likelihood == sm.log_likelihood(delivery.spec, fit.params, data)
+    bad = sm.PatientData(x=data.x * 2, z=data.z, y=data.y)
+    with pytest.raises(DataFormatError):
+        sm.log_likelihood(delivery.spec, delivery.params, bad)

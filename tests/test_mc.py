@@ -134,3 +134,42 @@ def test_resolve_threads_env(monkeypatch):
     assert sm.resolve_threads() >= 1
     monkeypatch.delenv("SCORE_MEWMA_THREADS")
     assert sm.resolve_threads(2) == 2
+
+
+def test_resolve_threads_rejects_bad_counts(monkeypatch):
+    with pytest.raises(sm.ModelConfigError, match="non-negative"):
+        sm.resolve_threads(-4)
+    for raw in ("abc", "-2", "1.5"):
+        monkeypatch.setenv("SCORE_MEWMA_THREADS", raw)
+        with pytest.raises(sm.ModelConfigError, match="SCORE_MEWMA_THREADS"):
+            sm.resolve_threads()
+
+
+@pytest.mark.parametrize(
+    "shift", [sm.ShiftSpec("coefficient", ("beta24",), 0.5), sm.ShiftSpec("mean-odds", ("Y3",), 2.0)]
+)
+def test_kernel_under_shift_matches_reference_stream(delivery, chart, shift):
+    """Under a shifted generator the kernel scores at the in-control params:
+    its run lengths and staircases equal run_stream over the same patients."""
+    gen = sm.apply_shift(sm.in_control_generator(delivery), shift)
+    max_rl, reps = 300, 8
+    sample = simulate_run_lengths(
+        gen, delivery.params, chart, reps=reps, max_rl=max_rl, seed=21, track_records=True
+    )
+    k = len(delivery.spec.covariate_names) + delivery.spec.n_nodes
+    for rep in range(reps):
+        rng = sm.replication_rng(21, rep)
+        u = np.concatenate([rng.random((BUF, k)) for _ in range((max_rl + BUF - 1) // BUF)])[:max_rl]
+        xf, zf, yf = _generate_batch(gen, u)
+        data = sm.PatientData(x=xf, z=zf, y=yf)
+        trace = list(sm.run_stream(delivery.spec, delivery.params, chart, data, stop_at_signal=True))
+        signals = [t for t, _, sig in trace if sig]
+        assert sample.run_lengths[rep] == (signals[0] if signals else max_rl)
+        best, refs = -np.inf, []
+        for t, t2, _ in trace:
+            if t2 > best:
+                refs.append((t, t2))
+                best = t2
+        times, values = sample.staircases[rep]
+        np.testing.assert_array_equal(times, [t for t, _ in refs])
+        np.testing.assert_allclose(values, [v for _, v in refs], rtol=1e-9)
