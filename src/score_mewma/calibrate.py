@@ -72,7 +72,6 @@ class CalibrationResult:
     achieved_arl: ArlResult
     iterations: int
     bracket: tuple[float, float]
-    warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
         lo, hi = self.bracket
@@ -215,7 +214,6 @@ def calibrate_h(
 
     lo = hi = None
     iterations = 0
-    warnings: list[str] = []
     evaluator = None
     for stage, reps in enumerate(reps_schedule):
         cap0 = 1.1 * (hi if hi is not None else h_guess)
@@ -235,31 +233,20 @@ def calibrate_h(
             hi *= 1.5
             if hi > H_MAX:
                 raise CalibrationError(f"bracketing failed: no h below {H_MAX:g} reaches ARL {target_arl}")
-        seen: list[tuple[float, float]] = []
         while hi - lo > 5e-4 * hi:
             mid = 0.5 * (lo + hi)
             a = evaluator.arl(mid)
             iterations += 1
-            seen.append((mid, a))
             if a < target_arl:
                 lo = mid
             else:
                 hi = mid
-        seen.sort()
-        if any(b[1] < a[1] - 1e-9 for a, b in zip(seen, seen[1:])):
-            warnings.append(f"stage {stage}: nonmonotone ARL estimates across bisection points")
 
     h_final = 0.5 * (lo + hi)
     achieved = evaluator.result(h_final)
     if abs(achieved.mean_rl - target_arl) / target_arl >= rel_tolerance:
         raise CalibrationError(
-            f"calibration did not reach the target within {rel_tolerance:.0%}: "
+            f"calibration did not reach the target within {100 * rel_tolerance:g}%: "
             f"achieved {achieved.mean_rl:.2f} for target {target_arl:g}; increase the final-stage reps"
         )
-    return CalibrationResult(
-        h=h_final,
-        achieved_arl=achieved,
-        iterations=iterations,
-        bracket=(lo, hi),
-        warnings=tuple(warnings),
-    )
+    return CalibrationResult(h=h_final, achieved_arl=achieved, iterations=iterations, bracket=(lo, hi))

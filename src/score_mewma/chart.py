@@ -23,7 +23,7 @@ EXACT_RECURSIVE = "exact-recursive"
 ASYMPTOTIC = "asymptotic"
 
 COND_LIMIT = 1e12
-_GROW_LOCK = threading.Lock()  # guards T2Evaluator.inverse's lazy growth
+_GROW_LOCK = threading.Lock()  # guards T2Evaluator._index's lazy growth
 
 
 @dataclass(frozen=True)
@@ -96,6 +96,11 @@ class ChartConfig:
         return (r[:, None] * r[None, :] / denom) * self.sigma_s
 
 
+def _ewma_factor(r: float, t):
+    """f_t = r[1-(1-r)^{2t}]/(2-r), with Sigma_W,t = f_t Sigma_S for equal smoothing r."""
+    return r * (1.0 - (1.0 - r) ** (2 * t)) / (2.0 - r)
+
+
 def sigma_w_closed_form(t: int, r: float, sigma_s: np.ndarray) -> np.ndarray:
     """Covariance of W_t for equal smoothing: r[1-(1-r)^{2t}]/(2-r) Sigma_S."""
     r_arr = np.atleast_1d(np.asarray(r, dtype=float))
@@ -106,23 +111,25 @@ def sigma_w_closed_form(t: int, r: float, sigma_s: np.ndarray) -> np.ndarray:
         raise ModelConfigError("smoothing value must lie in (0, 1]")
     if t < 1:
         raise ModelConfigError("t must be at least 1")
-    factor = r * (1.0 - (1.0 - r) ** (2 * t)) / (2.0 - r)
-    return factor * np.asarray(sigma_s, dtype=float)
+    return _ewma_factor(r, t) * np.asarray(sigma_s, dtype=float)
 
 
 @dataclass(frozen=True)
 class MewmaState:
-    """Chart state after t patients; fresh states have w = 0 and t = 0."""
+    """Chart state after t patients; fresh states have w = 0 and t = 0.
+    ``sigma_w``, the covariance of w, comes from the config's T2 evaluator."""
 
     config: ChartConfig
     w: np.ndarray
     t: int
-    sigma_w: np.ndarray
+
+    @property
+    def sigma_w(self) -> np.ndarray:
+        return self.config.t2_evaluator.sigma_w(self.t)
 
 
 def init_state(config: ChartConfig) -> MewmaState:
-    p = config.p
-    return MewmaState(config=config, w=np.zeros(p), t=0, sigma_w=np.zeros((p, p)))
+    return MewmaState(config=config, w=np.zeros(config.p), t=0)
 
 
 def _check_conditioning(mat: np.ndarray, coord_names) -> None:
@@ -138,36 +145,49 @@ def _check_conditioning(mat: np.ndarray, coord_names) -> None:
 
 
 class T2Evaluator:
-    """T2_t = W_t' Sigma_W,t^{-1} W_t for one chart configuration, evaluated as
-    ``((w @ inverse(t)) * w).sum(-1) / factor(t)`` for a state w or a matrix of them.
+    """Owner of Sigma_W,t = f_t M_t for one chart configuration, and of T2_t =
+    W_t' Sigma_W,t^{-1} W_t, evaluated as ``((w @ inverse(t)) * w).sum(-1) / factor(t)``
+    for a state w or a matrix of them.
 
-    With equal smoothing Sigma_W,t = f_t Sigma_S: inverse(t) is Sigma_S^{-1},
-    and one conditioning check covers every t, since cond(f_t Sigma_S) =
-    cond(Sigma_S). With unequal smoothing f_t = 1 and inverse(t) inverts the
-    recursion's Sigma_W,t, each checked when first needed, up to the cap
-    beyond which it is stationary; the asymptotic mode has only its limit.
-    SingularMatrixError names the coordinates that load most on the smallest
-    eigenvalue of the failing matrix.
+    With equal smoothing M_t = Sigma_S, and one conditioning check covers
+    every t, since cond(f_t Sigma_S) = cond(Sigma_S). With unequal smoothing
+    f_t = 1 and M_t = R Sigma_S R + (I - R) M_{t-1} (I - R), each checked when
+    first needed, up to the cap beyond which it is stationary; the asymptotic
+    mode has only its limit. SingularMatrixError names the coordinates that
+    load most on the smallest eigenvalue of the failing matrix.
     """
 
     def __init__(self, config: ChartConfig):
         self._names = config.coord_names
         self._mode = config.covariance_mode
         self._r0 = float(config.r_vec[0]) if config.equal_r else None
+        self._sigma_s = config.sigma_s
+        self._matrices: list[np.ndarray] = []  # M_1, M_2, ...
+        self._inverses: list[np.ndarray] = []
         if config.equal_r or config.covariance_mode == ASYMPTOTIC:
-            base = config.sigma_s if config.equal_r else config.sigma_w_asymptotic()
-            _check_conditioning(base, self._names)
-            self._inverses = [np.linalg.inv(base)]
+            self._append(config.sigma_s if config.equal_r else config.sigma_w_asymptotic())
             self._cap = 1
         else:
             r = config.r_vec
-            self._sigma_s = config.sigma_s
             self._rr = np.outer(r, r)
             self._qq = np.outer(1.0 - r, 1.0 - r)
-            self._sigma_t = np.zeros_like(config.sigma_s)
-            self._inverses = []
             # (1 - r_min)^(2t) < e^-41.5 beyond the cap
             self._cap = int(np.ceil(-41.5 / (2.0 * np.log1p(-float(r.min())))) + 1)
+
+    def _append(self, mat: np.ndarray) -> None:
+        _check_conditioning(mat, self._names)
+        self._matrices.append(mat)  # before its inverse: readers test len(_inverses)
+        self._inverses.append(np.linalg.inv(mat))
+
+    def _index(self, t: int) -> int:
+        """Position of M_t, growing the recursion up to it."""
+        t = min(t, self._cap)
+        if t > len(self._inverses):
+            with _GROW_LOCK:
+                while len(self._inverses) < t:
+                    prev = self._matrices[-1] if self._matrices else np.zeros_like(self._sigma_s)
+                    self._append(self._rr * self._sigma_s + self._qq * prev)
+        return t - 1
 
     def factor(self, t):
         """f_t at t = 1, 2, ... (an int or a float array); 1 with unequal smoothing."""
@@ -176,18 +196,17 @@ class T2Evaluator:
             return np.ones_like(t, dtype=float)
         if self._mode == ASYMPTOTIC:
             return np.full_like(t, r / (2.0 - r), dtype=float)
-        return r * (1.0 - (1.0 - r) ** (2.0 * t)) / (2.0 - r)
+        return _ewma_factor(r, t)
 
     def inverse(self, t: int) -> np.ndarray:
-        """The matrix A_t with T2_t = w' A_t w / f_t."""
-        t = min(t, self._cap)
-        if t > len(self._inverses):
-            with _GROW_LOCK:
-                while len(self._inverses) < t:
-                    self._sigma_t = self._rr * self._sigma_s + self._qq * self._sigma_t
-                    _check_conditioning(self._sigma_t, self._names)
-                    self._inverses.append(np.linalg.inv(self._sigma_t))
-        return self._inverses[t - 1]
+        """The matrix A_t = M_t^{-1}, with T2_t = w' A_t w / f_t."""
+        return self._inverses[self._index(t)]
+
+    def sigma_w(self, t: int) -> np.ndarray:
+        """Sigma_W,t = f_t M_t; zero at t = 0."""
+        if t == 0:
+            return np.zeros_like(self._sigma_s)
+        return self.factor(t) * self._matrices[self._index(t)]
 
     def t2(self, w: np.ndarray, t: int, factor) -> np.ndarray:
         return ((w @ self.inverse(t)) * w).sum(axis=-1) / factor
@@ -196,28 +215,20 @@ class T2Evaluator:
 def update(state: MewmaState, s_t: np.ndarray) -> tuple[MewmaState, float, bool]:
     """Advance the chart one patient; returns (new state, t2, signal).
 
-    ``s_t`` is the patient's full score vector. ``sigma_w`` of the new state
-    follows the covariance recursion (or its limit); T2 comes from the
-    config's ``t2_evaluator``, so no matrix is factorised per patient.
+    ``s_t`` is the patient's full score vector. The step smooths it into w,
+    takes T2 from the config's ``t2_evaluator``, so no matrix is built per
+    patient, and signals once t reaches the warmup and T2 exceeds h.
     """
     cfg = state.config
     s = np.asarray(s_t, dtype=float).reshape(-1)
     if s.shape != (cfg.p,):
         raise ModelConfigError(f"score vector must have length {cfg.p}, got {s.shape[0]}")
-    r = cfg.r_vec
-    w = r * s + (1.0 - r) * state.w
+    w = cfg.r_vec * s + (1.0 - cfg.r_vec) * state.w
     t = state.t + 1
-    if cfg.covariance_mode == EXACT_RECURSIVE:
-        sigma_w = (
-            np.outer(r, r) * cfg.sigma_s
-            + np.outer(1.0 - r, 1.0 - r) * state.sigma_w
-        )
-    else:
-        sigma_w = cfg.sigma_w_asymptotic()
     evaluator = cfg.t2_evaluator
     t2 = float(evaluator.t2(w, t, evaluator.factor(t)))
     signal = t >= cfg.warmup and cfg.h is not None and t2 > cfg.h
-    return MewmaState(config=cfg, w=w, t=t, sigma_w=sigma_w), t2, bool(signal)
+    return MewmaState(config=cfg, w=w, t=t), t2, bool(signal)
 
 
 def run_stream(

@@ -69,18 +69,31 @@ def _target_arl(text: str) -> float:
     return value
 
 
-def _chart_sigma(model, params, args):
-    mode = getattr(args, "sigma_mode", "exact")
-    cov = expected_score_covariance(
+def _chart(model, params, args, h):
+    """The chart from the command's chart options, and those options' echo."""
+    mc = args.sigma_mode == "mc"
+    sigma = expected_score_covariance(
         model.spec,
         params,
         model.covariates,
-        mc_fallback=(mode == "mc"),
-        enum_limit=0 if mode == "mc" else 16,
+        mc_fallback=mc,
+        enum_limit=0 if mc else 16,
         mc_samples=args.sigma_samples,
         seed=getattr(args, "seed", 0) or 0,
     )
-    return cov
+    config = ChartConfig(
+        sigma_s=sigma.values,
+        r=args.r,
+        h=h,
+        covariance_mode=args.covariance_mode,
+        warmup=args.warmup,
+        coord_names=params.names,
+    )
+    echo = {"r": args.r, "warmup": args.warmup, "covariance_mode": args.covariance_mode,
+            "sigma_s_mode": sigma.mode}
+    if mc:
+        echo["sigma_samples"] = args.sigma_samples
+    return config, echo
 
 
 def _load_model_and_params(args):
@@ -118,17 +131,10 @@ def cmd_fit(args) -> int:
 
 def cmd_calibrate(args) -> int:
     model, params = _load_model_and_params(args)
-    sigma = _chart_sigma(model, params, args)
-    config = ChartConfig(
-        sigma_s=sigma.values,
-        r=args.r,
-        h=None,
-        covariance_mode=args.covariance_mode,
-        warmup=args.warmup,
-        coord_names=params.names,
-    )
+    config, chart_echo = _chart(model, params, args, h=None)
     reps = args.reps
-    schedule = tuple(sorted({max(100, reps // 10), max(500, reps // 3), reps}))
+    # --reps is the final stage, so no stage runs more
+    schedule = tuple(sorted({min(n, reps) for n in (max(100, reps // 10), max(500, reps // 3), reps)}))
     max_rl = args.max_rl if args.max_rl else int(round(20 * args.target_arl))
     result = calibrate_h(
         in_control_generator(model),
@@ -143,10 +149,7 @@ def cmd_calibrate(args) -> int:
     )
     echo = {
         "target_arl": args.target_arl,
-        "r": args.r,
-        "warmup": args.warmup,
-        "covariance_mode": args.covariance_mode,
-        "sigma_s_mode": sigma.mode,
+        **chart_echo,
         "rel_tolerance": args.rel_tolerance,
         "reps_schedule": list(schedule),
         "max_rl": max_rl,
@@ -158,7 +161,6 @@ def cmd_calibrate(args) -> int:
         "achieved_arl": result.achieved_arl.as_dict(),
         "iterations": result.iterations,
         "bracket": list(result.bracket),
-        "warnings": list(result.warnings),
         "config": echo,
     }
     manifest = fio.make_manifest("calibrate", args.argv, model_hash(model), seed=args.seed, config=echo)
@@ -180,15 +182,7 @@ def cmd_study(args) -> int:
     placeholder = 1.0 if args.shift == "mean-odds" else 0.0
     template = ShiftSpec(kind=args.shift, targets=targets, c=placeholder)
     c_values = fio.parse_c_grid(args.c_grid)
-    sigma = _chart_sigma(model, params, args)
-    config = ChartConfig(
-        sigma_s=sigma.values,
-        r=args.r,
-        h=args.h,
-        covariance_mode=args.covariance_mode,
-        warmup=args.warmup,
-        coord_names=params.names,
-    )
+    config, chart_echo = _chart(model, params, args, h=args.h)
     grid = StudyGrid(shift=template, c_values=tuple(c_values), reps=args.reps, chart=config, max_rl=args.max_rl)
     rows = run_arl_study(in_control_generator(model), params, grid, seed=args.seed, threads=args.threads)
     echo = {
@@ -197,10 +191,7 @@ def cmd_study(args) -> int:
         "c_grid": args.c_grid,
         "reps": args.reps,
         "h": args.h,
-        "r": args.r,
-        "warmup": args.warmup,
-        "covariance_mode": args.covariance_mode,
-        "sigma_s_mode": sigma.mode,
+        **chart_echo,
         "max_rl": args.max_rl,
         "seed": args.seed,
     }
@@ -213,22 +204,8 @@ def cmd_study(args) -> int:
 
 def cmd_monitor(args) -> int:
     model, params = _load_model_and_params(args)
-    sigma = _chart_sigma(model, params, args)
-    config = ChartConfig(
-        sigma_s=sigma.values,
-        r=args.r,
-        h=args.h,
-        covariance_mode=args.covariance_mode,
-        warmup=args.warmup,
-        coord_names=params.names,
-    )
-    echo = {
-        "h": args.h,
-        "r": args.r,
-        "warmup": args.warmup,
-        "covariance_mode": args.covariance_mode,
-        "sigma_s_mode": sigma.mode,
-    }
+    config, chart_echo = _chart(model, params, args, h=args.h)
+    echo = {"h": args.h, **chart_echo}
     manifest = fio.make_manifest("monitor", args.argv, model_hash(model), seed=None, config=echo)
 
     infile = sys.stdin if args.data_csv == "-" else open(args.data_csv, "r", encoding="utf-8")
@@ -237,8 +214,7 @@ def cmd_monitor(args) -> int:
         fio._write_manifest_line(outfile, manifest)
         outfile.write("t,t2,signal,post_signal\n")
         outfile.flush()
-        rows = fio.iter_patient_rows(infile, model.spec)
-        records = (record for _, record in rows)
+        records = fio.iter_patient_rows(infile, model.spec)
         signalled = False
         for t, t2, signal in run_stream(model.spec, params, config, records):
             outfile.write(f"{t},{t2!r},{int(signal)},{int(signalled)}\n")

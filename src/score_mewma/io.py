@@ -188,8 +188,8 @@ def write_patient_csv(path: str, spec: DagModelSpec, data: PatientData, manifest
             f.write(",".join(str(int(v)) for v in vals) + "\n")
 
 
-def iter_patient_rows(f: TextIO, spec: DagModelSpec) -> Iterator[tuple[int, PatientRecord]]:
-    """Stream (line number, record) pairs from an open patient CSV.
+def iter_patient_rows(f: TextIO, spec: DagModelSpec) -> Iterator[PatientRecord]:
+    """Stream the records of an open patient CSV.
 
     Raises DataFormatError naming the offending column or row; iteration
     stops at the first malformed row.
@@ -230,16 +230,16 @@ def iter_patient_rows(f: TextIO, spec: DagModelSpec) -> Iterator[tuple[int, Pati
                 raise DataFormatError(f"row {lineno}: column {col} must be 0 or 1, got {cell!r}")
             values.append(int(cell))
         values = np.asarray(values, dtype=np.int8)
-        yield lineno, PatientRecord(x=values[:nx], z=values[nx : nx + nz], y=values[nx + nz :])
+        yield PatientRecord(x=values[:nx], z=values[nx : nx + nz], y=values[nx + nz :])
 
 
 def read_patient_csv(source, spec: DagModelSpec) -> PatientData:
     """Load a whole patient CSV from a path or open file."""
     if isinstance(source, (str, bytes)):
         with open(source, "r", encoding="utf-8") as f:
-            records = [rec for _, rec in iter_patient_rows(f, spec)]
+            records = list(iter_patient_rows(f, spec))
     else:
-        records = [rec for _, rec in iter_patient_rows(source, spec)]
+        records = list(iter_patient_rows(source, spec))
     if not records:
         raise DataFormatError("patient CSV has no data rows")
     return PatientData.from_records(records)

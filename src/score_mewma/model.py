@@ -291,10 +291,10 @@ class CovariateModel:
 
 @dataclass(frozen=True)
 class PatientRecord:
-    """One patient: binary covariates and (possibly partial) outcomes.
+    """One patient: binary covariates and outcomes.
 
-    Outcome entries equal to ``MISSING`` (-1) are treated as not yet
-    observed, which happens mid-way through sequential generation.
+    An outcome entry equal to ``MISSING`` (-1) marks a missing outcome;
+    scoring, fitting and ``outcome`` reject such a record.
     """
 
     x: np.ndarray

@@ -131,6 +131,23 @@ def test_asymptotic_mode_constant_covariance():
         np.testing.assert_allclose(state.sigma_w, expected, rtol=1e-12)
 
 
+@pytest.mark.parametrize("r", [0.1, (0.1, 0.4)])
+@pytest.mark.parametrize("mode", [EXACT_RECURSIVE, ASYMPTOTIC])
+def test_state_sigma_w_matches_covariance_recursion(r, mode):
+    sigma = np.array([[1.0, 0.5], [0.5, 2.0]])
+    config = sm.ChartConfig(sigma_s=sigma, r=r, h=1e9, covariance_mode=mode)
+    rv = config.r_vec
+    rr, qq = np.outer(rv, rv), np.outer(1.0 - rv, 1.0 - rv)
+    state = sm.init_state(config)
+    assert np.all(state.sigma_w == 0.0)
+    expected = np.zeros((2, 2))
+    for _ in range(10_000):
+        state, _, _ = sm.update(state, np.array([0.3, -0.2]))
+        expected = rr * sigma + qq * expected if mode == EXACT_RECURSIVE else config.sigma_w_asymptotic()
+        err = np.max(np.abs(state.sigma_w - expected)) / np.max(np.abs(expected))
+        assert err < 1e-12, (state.t, err)
+
+
 def test_unequal_r_asymptotic_matrix():
     sigma = np.array([[1.0, 0.5], [0.5, 2.0]])
     config = sm.ChartConfig(sigma_s=sigma, r=(0.1, 0.4), h=1.0)

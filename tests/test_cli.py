@@ -151,6 +151,28 @@ def test_calibrate_validation_exit_codes(work, tmp_path):
     assert run("calibrate", model, model, "--target-arl", 0.5, "-o", tmp_path / "x.json") == 2
 
 
+def test_calibrate_small_reps_caps_every_stage(work, tmp_path):
+    root, model = work
+    out = tmp_path / "cal120.json"
+    assert run("calibrate", model, model, "--target-arl", 15, "--reps", 120, "--r", 0.1,
+               "--seed", 5, "--max-rl", 300, "--rel-tolerance", 0.1, "-o", out) == 0
+    payload = fio.read_json_report(str(out))["payload"]
+    assert payload["config"]["reps_schedule"] == [100, 120]
+    assert payload["achieved_arl"]["reps"] == 120
+    assert "warnings" not in payload
+
+
+def test_calibrate_missing_the_tolerance_exits_4(work, tmp_path, capsys):
+    root, model = work
+    # the final stage has 100 reps, and no mean of 100 integer run lengths
+    # lies within 1.5e-4 of 15.001
+    code = run("calibrate", model, model, "--target-arl", 15.001, "--rel-tolerance", 1e-5,
+               "--reps", 100, "--max-rl", 300, "-o", tmp_path / "x.json")
+    assert code == 4
+    assert "did not reach the target within 0.001%" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_study_range_grid_and_plot_data(work, calibrated, tmp_path):
     root, model = work
     _, payload = calibrated
@@ -256,6 +278,23 @@ def test_monitor_malformed_row_stops_with_code_2(work, tmp_path):
     assert run("monitor", model, model, bad, "--h", 10, "-o", out) == 2
     lines = [ln for ln in out.read_text().splitlines() if ln and not ln.startswith("#")]
     assert len(lines) == 2  # header plus the one good row already flushed
+
+
+def test_monitor_echoes_sigma_samples_in_mc_mode_only(work, tmp_path):
+    root, model = work
+    data_csv = tmp_path / "few.csv"
+    assert run("simulate", model, model, "--n", 5, "--seed", 2, "-o", data_csv) == 0
+    exact, mc = tmp_path / "exact.csv", tmp_path / "mc.csv"
+    assert run("monitor", model, model, data_csv, "--h", 10, "-o", exact) == 0
+    assert run("monitor", model, model, data_csv, "--h", 10, "--sigma-mode", "mc",
+               "--sigma-samples", 100_001, "-o", mc) == 0
+    assert fio.read_manifest(str(exact))["config"] == {
+        "h": 10.0, "r": 0.1, "warmup": 1, "covariance_mode": "exact-recursive", "sigma_s_mode": "exact",
+    }
+    assert fio.read_manifest(str(mc))["config"] == {
+        "h": 10.0, "r": 0.1, "warmup": 1, "covariance_mode": "exact-recursive",
+        "sigma_s_mode": "monte-carlo", "sigma_samples": 100_001,
+    }
 
 
 def test_monitor_streams_incrementally(work, tmp_path):

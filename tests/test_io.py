@@ -66,6 +66,9 @@ def test_patient_csv_bad_value_reports_row(delivery):
     text = ",".join(cols) + "\n" + ",".join(["0"] * 8) + "\n" + "0,1,0,1,0,2,0,1\n"
     with pytest.raises(DataFormatError, match="row 3"):
         fio.read_patient_csv(_io.StringIO(text), delivery.spec)
+    short = ",".join(cols) + "\n" + ",".join(["0"] * 8) + "\n" + "0,1,0,1,0,0,0\n"
+    with pytest.raises(DataFormatError, match="row 3: expected 8 fields, got 7"):
+        fio.read_patient_csv(_io.StringIO(short), delivery.spec)
 
 
 def test_patient_csv_empty(delivery):

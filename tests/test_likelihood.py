@@ -232,6 +232,16 @@ def test_fit_mle_rejects_non_binary_data():
         sm.fit_mle(m.spec, bad)
 
 
+def test_per_record_scores_rejects_missing_outcome():
+    m = two_node_model()
+    x, z = np.array([1], dtype=np.int8), np.array([0], dtype=np.int8)
+    good = sm.PatientRecord(x=x, z=z, y=np.array([1, 0], dtype=np.int8))
+    missing = sm.PatientRecord(x=x, z=z, y=np.array([1, sm.model.MISSING], dtype=np.int8))
+    assert sm.per_record_scores(m.spec, m.params, [good]).shape == (1, len(m.params.names))
+    with pytest.raises(ModelConfigError, match="missing outcomes"):
+        sm.per_record_scores(m.spec, m.params, [good, missing])
+
+
 def _wide_spec(n_parents):
     ids = tuple(f"X{j}" for j in range(n_parents))
     node = sm.NodeSpec(id="Y1", intercept_name="a1", process_parents=tuple((x, f"b{j}") for j, x in enumerate(ids)))
