@@ -176,9 +176,7 @@ class _StageEvaluator:
             )
 
     def arl(self, h: float) -> float:
-        self._ensure(h)
-        rl, _ = self._sample.at_limit(h)
-        return float(rl.mean())
+        return self.result(h).mean_rl
 
     def result(self, h: float) -> ArlResult:
         self._ensure(h)

@@ -14,10 +14,12 @@ from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
+from scipy.special import expit
 
 from .errors import ModelConfigError, SingularMatrixError
-from .likelihood import per_record_scores
-from .model import DagModelSpec, ParamVector, PatientData, PatientRecord
+from .likelihood import per_record_scores  # noqa: F401  bench/tracing.py patches chart.per_record_scores
+from .likelihood import score_rows
+from .model import DagModelSpec, ParamVector, PatientData, PatientRecord, node_designs, node_eta
 
 EXACT_RECURSIVE = "exact-recursive"
 ASYMPTOTIC = "asymptotic"
@@ -240,14 +242,20 @@ def run_stream(
 ) -> Iterator[tuple[int, float, bool]]:
     """Score each record at params0, feed the chart, yield (t, t2, signal).
 
-    Records are consumed lazily so the stream can sit on a live feed.
+    Records are consumed lazily so the stream can sit on a live feed. Each
+    record's bit row is scored by ``score_rows`` at params0 blocks looked up
+    once; a record laid out for another model, or with a missing outcome,
+    raises ModelConfigError.
     """
+    designs = node_designs(spec)
+    thetas = [params0.values[d.param_indices] for d in designs]
     if isinstance(records, PatientData):
         records = records.records()
     state = init_state(config)
     for record in records:
-        s = per_record_scores(spec, params0, [record])[0]
-        state, t2, signal = update(state, s)
+        bits = record.complete_bits(spec)[None, :]
+        means = [expit(node_eta(d, theta, bits)) for d, theta in zip(designs, thetas)]
+        state, t2, signal = update(state, score_rows(designs, bits, means)[0])
         yield state.t, t2, signal
         if signal and stop_at_signal:
             return

@@ -10,6 +10,7 @@ file embeds a run manifest whose argv re-runs the command bit-identically
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 
@@ -208,9 +209,12 @@ def cmd_monitor(args) -> int:
     echo = {"h": args.h, **chart_echo}
     manifest = fio.make_manifest("monitor", args.argv, model_hash(model), seed=None, config=echo)
 
-    infile = sys.stdin if args.data_csv == "-" else open(args.data_csv, "r", encoding="utf-8")
-    outfile = sys.stdout if args.out == "-" else open(args.out, "w", encoding="utf-8", newline="\n")
-    try:
+    with contextlib.ExitStack() as stack:
+        infile, outfile = sys.stdin, sys.stdout
+        if args.data_csv != "-":
+            infile = stack.enter_context(open(args.data_csv, "r", encoding="utf-8"))
+        if args.out != "-":
+            outfile = stack.enter_context(open(args.out, "w", encoding="utf-8", newline="\n"))
         fio._write_manifest_line(outfile, manifest)
         outfile.write("t,t2,signal,post_signal\n")
         outfile.flush()
@@ -220,11 +224,6 @@ def cmd_monitor(args) -> int:
             outfile.write(f"{t},{t2!r},{int(signal)},{int(signalled)}\n")
             outfile.flush()
             signalled = signalled or signal
-    finally:
-        if infile is not sys.stdin:
-            infile.close()
-        if outfile is not sys.stdout:
-            outfile.close()
     return 0
 
 
@@ -232,18 +231,15 @@ def cmd_simulate(args) -> int:
     model, params = _load_model_and_params(args)
     # generation follows the supplied params, not the config's bundled values
     generator = PatientGenerator(spec=model.spec, params=params, covariates=model.covariates)
-    shift_echo = None
+    echo = {"n": args.n, "seed": args.seed}
     if args.shift or args.targets or args.c is not None:
         if not (args.shift and args.targets and args.c is not None):
             raise ShiftError("--shift, --targets and --c must be given together")
         targets = _parse_targets(args.targets)
         validate_shift_targets(model.spec, params, args.shift, targets)
         generator = apply_shift(generator, ShiftSpec(kind=args.shift, targets=targets, c=args.c))
-        shift_echo = {"shift": args.shift, "targets": list(targets), "c": args.c}
+        echo.update(shift=args.shift, targets=list(targets), c=args.c)
     data = sample_patients(generator, args.n, np.random.default_rng(args.seed))
-    echo = {"n": args.n, "seed": args.seed}
-    if shift_echo:
-        echo.update(shift_echo)
     manifest = fio.make_manifest("simulate", args.argv, model_hash(model), seed=args.seed, config=echo)
     fio.write_patient_csv(args.out, model.spec, data, manifest)
     return 0

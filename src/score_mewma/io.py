@@ -174,38 +174,32 @@ def write_plot_csv(path: str, manifest: RunManifest | None, rows) -> None:
 
 
 def patient_columns(spec: DagModelSpec) -> list[str]:
-    return list(spec.process_ids) + list(spec.risk_ids) + list(spec.node_ids)
+    return list(spec.columns)
 
 
 def write_patient_csv(path: str, spec: DagModelSpec, data: PatientData, manifest: RunManifest | None = None) -> None:
-    cols = patient_columns(spec)
-    nx, nz = len(spec.process_ids), len(spec.risk_ids)
+    bits = data.bits_for(spec)
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         _write_manifest_line(f, manifest)
-        f.write(",".join(cols) + "\n")
-        for i in range(len(data)):
-            vals = [*data.x[i, :nx], *data.z[i, :nz], *data.y[i]]
-            f.write(",".join(str(int(v)) for v in vals) + "\n")
+        f.write(",".join(patient_columns(spec)) + "\n")
+        for row in bits:
+            f.write(",".join(str(int(v)) for v in row) + "\n")
 
 
 def iter_patient_rows(f: TextIO, spec: DagModelSpec) -> Iterator[PatientRecord]:
-    """Stream the records of an open patient CSV.
+    """Stream the records of an open patient CSV, each holding its parsed
+    bit row in ``patient_columns`` order.
 
     Raises DataFormatError naming the offending column or row; iteration
     stops at the first malformed row.
     """
     cols = patient_columns(spec)
-    header = None
-    lineno = 0
-    for line in f:
-        lineno += 1
-        line = line.rstrip("\n").rstrip("\r")
-        if not line or line.startswith("#"):
-            continue
-        header = line.split(",")
-        break
+    lines = ((lineno, line.rstrip("\r\n")) for lineno, line in enumerate(f, 1))
+    lines = ((lineno, line) for lineno, line in lines if line and not line.startswith("#"))
+    _, header = next(lines, (0, None))
     if header is None:
         raise DataFormatError("empty patient CSV: no header row")
+    header = header.split(",")
     missing = [c for c in cols if c not in header]
     if missing:
         raise DataFormatError(f"patient CSV is missing required column {missing[0]!r}")
@@ -213,24 +207,16 @@ def iter_patient_rows(f: TextIO, spec: DagModelSpec) -> Iterator[PatientRecord]:
     if unknown:
         raise DataFormatError(f"patient CSV has unknown column {unknown[0]!r}")
     positions = [header.index(c) for c in cols]
-    nx, nz = len(spec.process_ids), len(spec.risk_ids)
 
-    for line in f:
-        lineno += 1
-        line = line.rstrip("\n").rstrip("\r")
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in lines:
         parts = line.split(",")
         if len(parts) != len(header):
             raise DataFormatError(f"row {lineno}: expected {len(header)} fields, got {len(parts)}")
-        values = []
-        for col, pos in zip(cols, positions):
-            cell = parts[pos].strip()
+        cells = [parts[pos].strip() for pos in positions]
+        for col, cell in zip(cols, cells):
             if cell not in ("0", "1"):
                 raise DataFormatError(f"row {lineno}: column {col} must be 0 or 1, got {cell!r}")
-            values.append(int(cell))
-        values = np.asarray(values, dtype=np.int8)
-        yield PatientRecord(x=values[:nx], z=values[nx : nx + nz], y=values[nx + nz :])
+        yield PatientRecord.from_bits(spec, [cell == "1" for cell in cells])
 
 
 def read_patient_csv(source, spec: DagModelSpec) -> PatientData:

@@ -29,17 +29,9 @@ from .model import (
 )
 
 
-def _complete_bits(records) -> np.ndarray:
-    """Complete records as one float bit matrix laid out [x | z | y]."""
-    data = as_patient_data(records)
-    if (data.y < 0).any():
-        raise ModelConfigError("records must be complete (no missing outcomes)")
-    return data.bits()
-
-
-def _binary_bits(records) -> np.ndarray:
+def _binary_bits(spec: DagModelSpec, records) -> np.ndarray:
     """Complete records whose every covariate and outcome is 0 or 1."""
-    bits = _complete_bits(records)
+    bits = as_patient_data(records).complete_bits(spec)
     if ((bits != 0.0) & (bits != 1.0)).any():
         raise DataFormatError("the likelihood needs every covariate and outcome to be 0 or 1")
     return bits
@@ -59,7 +51,7 @@ def _means(designs, params: ParamVector, bits: np.ndarray) -> list[np.ndarray]:
 def node_design_matrix(spec: DagModelSpec, data: PatientData, node_index: int) -> tuple[np.ndarray, np.ndarray]:
     """Design matrix U_v and response column for one node."""
     design = node_designs(spec)[node_index]
-    bits = data.bits()
+    bits = data.bits_for(spec)
     return _design_rows(design, bits), bits[:, design.out_col]
 
 
@@ -81,9 +73,10 @@ def log_likelihood(spec: DagModelSpec, params: ParamVector, records) -> float:
 
     Each node's term is summed over its distinct parent patterns, as
     ``fit_mle`` reports it, so the data must be 0/1 (DataFormatError) and a
-    node may have at most 62 parents (ModelConfigError).
+    node may have at most 62 parents (ModelConfigError). Records laid out
+    for another model raise ModelConfigError.
     """
-    bits = _binary_bits(records)
+    bits = _binary_bits(spec, records)
     total = 0.0
     for node, design in zip(spec.nodes, node_designs(spec)):
         total += _node_objective(_node_cells(node.id, design, bits), params.values[design.param_indices], False)
@@ -91,8 +84,9 @@ def log_likelihood(spec: DagModelSpec, params: ParamVector, records) -> float:
 
 
 def per_record_scores(spec: DagModelSpec, params: ParamVector, records) -> np.ndarray:
-    """Matrix of per-patient score vectors, one row per record."""
-    bits = _complete_bits(records)
+    """Matrix of per-patient score vectors, one row per record; records laid
+    out for another model, or with a missing outcome, raise ModelConfigError."""
+    bits = as_patient_data(records).complete_bits(spec)
     designs = node_designs(spec)
     return score_rows(designs, bits, _means(designs, params, bits))
 
@@ -120,7 +114,7 @@ def _weighted_information(
 
 def fisher_information(spec: DagModelSpec, params: ParamVector, records) -> np.ndarray:
     """Observed information: block diagonal sum of u u' mu (1 - mu)."""
-    return _weighted_information(spec, params, _complete_bits(records), None)
+    return _weighted_information(spec, params, as_patient_data(records).complete_bits(spec), None)
 
 
 @dataclass(frozen=True)
@@ -153,10 +147,10 @@ def expected_score_covariance(
     used when ``mc_fallback`` is set, with an entrywise standard error
     estimate. Fewer than 100,000 samples raise ModelConfigError.
     """
-    n_binary = len(spec.covariate_names) + spec.n_nodes
+    n_binary = sum(spec.widths)
     if n_binary <= enum_limit:
         data, probs = enumerate_patients(spec, params, covariates, limit=enum_limit)
-        return ScoreCovariance(values=_weighted_information(spec, params, data.bits(), probs), mode="exact")
+        return ScoreCovariance(values=_weighted_information(spec, params, data.bits, probs), mode="exact")
     if not mc_fallback:
         raise ModelConfigError(
             f"model has {n_binary} binary variables, above the enumeration limit of "
@@ -167,18 +161,15 @@ def expected_score_covariance(
     from .mc import PatientGenerator, sample_patients
 
     gen = PatientGenerator(spec=spec, params=params, covariates=covariates)
-    bits = sample_patients(gen, mc_samples, seed).bits()
-    p = len(params)
-    mean = np.zeros((p, p))
-    second = np.zeros((p, p))
+    bits = sample_patients(gen, mc_samples, seed).bits
+    mean, second = np.zeros((2, len(params), len(params)))
     designs = node_designs(spec)
     for design, mu in zip(designs, _means(designs, params, bits)):
         u = _design_rows(design, bits)
         w = mu * (1.0 - mu)
         idx = np.ix_(design.param_indices, design.param_indices)
         mean[idx] = u.T @ (u * w[:, None]) / mc_samples
-        u2 = u * u
-        second[idx] = u2.T @ (u2 * (w * w)[:, None]) / mc_samples
+        second[idx] = u.T @ (u * (w * w)[:, None]) / mc_samples  # u is 0/1, so u * u = u
     se = np.sqrt(np.maximum(second - mean * mean, 0.0) / mc_samples)
     return ScoreCovariance(values=mean, mode="monte-carlo", mc_se=se, mc_samples=mc_samples)
 
@@ -384,9 +375,9 @@ def fit_mle(
     block does not converge or its information matrix is singular, naming
     the node in both cases. Raises DataFormatError unless every covariate
     and outcome is 0 or 1, and ModelConfigError for a node with more than
-    62 parents.
+    62 parents or for records laid out for another model.
     """
-    bits = _binary_bits(records)
+    bits = _binary_bits(spec, records)
     if len(bits) < 1:
         raise FitError("at least one record is required")
     if params_init is None:

@@ -92,7 +92,7 @@ class _AncestralPass:
         if len(params0) != spec.n_params:
             raise ModelConfigError("params0 does not match the model's coefficient layout")
         self.designs = node_designs(spec)
-        self.p_cov = np.concatenate(generator.covariates.arrays(spec))
+        self.p_cov = generator.covariates.prevalences(spec)
         self.theta_gen = [generator.params.values[d.param_indices] for d in self.designs]
         self.theta0 = [params0.values[d.param_indices] for d in self.designs]
         self.same = [np.array_equal(a, b) for a, b in zip(self.theta_gen, self.theta0)]
@@ -115,14 +115,6 @@ class _AncestralPass:
         return bits, means
 
 
-def _generate_batch(generator: PatientGenerator, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Ancestral sampling driven by pre-drawn uniforms, one row per patient;
-    returns the x, z and y bits as float blocks."""
-    bits, _ = _AncestralPass(generator, generator.params)(u)
-    nx, nz = len(generator.spec.process_ids), len(generator.spec.risk_ids)
-    return bits[:, :nx], bits[:, nx : nx + nz], bits[:, nx + nz :]
-
-
 def sample_patients(generator: PatientGenerator, n: int, rng) -> PatientData:
     """Draw n patients by ancestral sampling; rng may be a Generator or seed.
 
@@ -132,12 +124,10 @@ def sample_patients(generator: PatientGenerator, n: int, rng) -> PatientData:
     """
     if n < 1:
         raise ModelConfigError("n must be at least 1")
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)  # a Generator is returned unaltered
     spec = generator.spec
-    k = len(spec.covariate_names) + spec.n_nodes
-    xf, zf, yf = _generate_batch(generator, rng.random((n, k)))
-    return PatientData(x=xf, z=zf, y=yf)
+    bits, _ = _AncestralPass(generator, generator.params)(rng.random((n, sum(spec.widths))))
+    return PatientData.from_bits(spec, bits)
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +140,7 @@ class _CompiledSim:
 
     def __init__(self, generator: PatientGenerator, params0: ParamVector, config: ChartConfig, max_rl: int):
         self.sample = _AncestralPass(generator, params0)
-        self.k = len(generator.spec.covariate_names) + generator.spec.n_nodes
+        self.k = sum(generator.spec.widths)
         self.r_vec = config.r_vec
         self.warmup = config.warmup
         self.evaluator = config.t2_evaluator
@@ -231,9 +221,7 @@ def _simulate_chunk(
                     st_t[i].append(t)
                     st_v[i].append(val)
                 rec[hit] = t2[hit]
-            done = t2 > cap
-        else:
-            done = t2 > cap
+        done = t2 > cap
         if done.any():
             resolved_t[active[done]] = t
             keep = ~done

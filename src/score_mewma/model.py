@@ -126,22 +126,26 @@ class DagModelSpec:
         return tuple(n.id for n in self.nodes)
 
     @property
-    def covariate_names(self) -> tuple[str, ...]:
-        return self.process_ids + self.risk_ids
-
-    @property
     def n_nodes(self) -> int:
         return len(self.nodes)
+
+    @property
+    def columns(self) -> tuple[str, ...]:
+        """Names of a patient's bit row, laid out ``[x | z | y]``: process
+        variables, risk factors, then outcomes in node order."""
+        return self.process_ids + self.risk_ids + self.node_ids
+
+    @property
+    def widths(self) -> tuple[int, int, int]:
+        """Widths of the x, z and y blocks of a patient's bit row."""
+        return len(self.process_ids), len(self.risk_ids), len(self.nodes)
 
     @property
     def n_params(self) -> int:
         return sum(n.n_coefs for n in self.nodes)
 
     def node(self, node_id: str) -> NodeSpec:
-        for n in self.nodes:
-            if n.id == node_id:
-                return n
-        raise KeyError(node_id)
+        return self.nodes[self.node_index(node_id)]
 
     def node_index(self, node_id: str) -> int:
         for i, n in enumerate(self.nodes):
@@ -154,12 +158,10 @@ class DagModelSpec:
 class NodeDesign:
     """Index bookkeeping for one node's design row.
 
-    A patient's bits form one row laid out ``[x | z | y]``: process
-    variables, risk factors, then outcomes in node order. ``cols`` lists the
-    node's parent columns of that row in design-row order (after the
-    intercept), and ``out_col`` is the node's own outcome column.
-    ``param_indices`` locates the node's coefficients in the flat vector, in
-    design-row order.
+    ``cols`` lists the node's parent columns of a patient's bit row
+    (``DagModelSpec.columns``) in design-row order, after the intercept, and
+    ``out_col`` is the node's own outcome column. ``param_indices`` locates
+    the node's coefficients in the flat vector, in design-row order.
     """
 
     node_index: int
@@ -171,8 +173,7 @@ class NodeDesign:
 @functools.lru_cache(maxsize=64)
 def node_designs(spec: DagModelSpec) -> tuple[NodeDesign, ...]:
     """Per-node design indexing, cached per spec."""
-    nx, nz = len(spec.process_ids), len(spec.risk_ids)
-    pos = {v: i for i, v in enumerate(spec.process_ids + spec.risk_ids + spec.node_ids)}
+    pos = {v: i for i, v in enumerate(spec.columns)}
     designs = []
     offset = 0
     for vi, node in enumerate(spec.nodes):
@@ -183,7 +184,7 @@ def node_designs(spec: DagModelSpec) -> tuple[NodeDesign, ...]:
                 node_index=vi,
                 param_indices=np.arange(offset, offset + p_v),
                 cols=tuple(pos[v] for v, _ in parents),
-                out_col=nx + nz + vi,
+                out_col=pos[node.id],
             )
         )
         offset += p_v
@@ -280,26 +281,80 @@ class CovariateModel:
                 raise ModelConfigError(f"prevalence of {var!r} must lie in [0, 1], got {p}")
         object.__setattr__(self, "prevalence", dict(self.prevalence))
 
-    def arrays(self, spec: DagModelSpec) -> tuple[np.ndarray, np.ndarray]:
+    def prevalences(self, spec: DagModelSpec) -> np.ndarray:
+        """Prevalence of each covariate column of the bit row, x then z."""
         try:
-            px = np.array([self.prevalence[v] for v in spec.process_ids], dtype=float)
-            pz = np.array([self.prevalence[v] for v in spec.risk_ids], dtype=float)
+            return np.array([self.prevalence[v] for v in spec.process_ids + spec.risk_ids], dtype=float)
         except KeyError as exc:
             raise ModelConfigError(f"no prevalence declared for covariate {exc.args[0]!r}") from None
-        return px, pz
 
 
-@dataclass(frozen=True)
-class PatientRecord:
-    """One patient: binary covariates and outcomes.
-
-    An outcome entry equal to ``MISSING`` (-1) marks a missing outcome;
-    scoring, fitting and ``outcome`` reject such a record.
+@dataclass(frozen=True, init=False, eq=False)
+class _BitRows:
+    """Patient bits laid out ``[x | z | y]`` along the last axis: process
+    variables, risk factors, then outcomes in node order, the row that
+    ``NodeDesign`` columns index. ``bits`` is a read-only float array;
+    ``x``, ``z`` and ``y`` are views into it.
     """
 
-    x: np.ndarray
-    z: np.ndarray
-    y: np.ndarray
+    bits: np.ndarray
+    nx: int
+    nz: int
+
+    def __init__(self, x, z, y):
+        blocks = [np.asarray(b, dtype=float) for b in (x, z, y)]
+        if len({b.shape[:-1] for b in blocks}) != 1:
+            raise ModelConfigError("patient data blocks must share the row count")
+        self._set(np.concatenate(blocks, axis=-1), blocks[0].shape[-1], blocks[1].shape[-1])
+
+    def _set(self, bits: np.ndarray, nx: int, nz: int):
+        bits = bits.view()  # read-only without a copy, and without freezing the caller's array
+        bits.flags.writeable = False
+        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "nx", nx)
+        object.__setattr__(self, "nz", nz)
+        return self
+
+    @classmethod
+    def from_bits(cls, spec: DagModelSpec, bits: np.ndarray):
+        """Wrap bits laid out for ``spec``, without copying float input."""
+        return cls.__new__(cls)._set(np.asarray(bits, dtype=float), *spec.widths[:2])
+
+    @property
+    def x(self) -> np.ndarray:
+        return self.bits[..., : self.nx]
+
+    @property
+    def z(self) -> np.ndarray:
+        return self.bits[..., self.nx : self.nx + self.nz]
+
+    @property
+    def y(self) -> np.ndarray:
+        return self.bits[..., self.nx + self.nz :]
+
+    @property
+    def widths(self) -> tuple[int, int, int]:
+        return self.nx, self.nz, self.bits.shape[-1] - self.nx - self.nz
+
+    def bits_for(self, spec: DagModelSpec) -> np.ndarray:
+        """``bits``; ModelConfigError unless its (x, z, y) widths are ``spec``'s."""
+        if self.widths != spec.widths:
+            raise ModelConfigError(f"patient rows have (x, z, y) widths {self.widths}; the model expects {spec.widths}")
+        return self.bits
+
+    def complete_bits(self, spec: DagModelSpec) -> np.ndarray:
+        """``bits_for(spec)``; ModelConfigError if an outcome is ``MISSING``."""
+        bits = self.bits_for(spec)
+        if (self.y < 0).any():
+            raise ModelConfigError("records must be complete (no missing outcomes)")
+        return bits
+
+
+class PatientRecord(_BitRows):
+    """One patient: the (k,) row ``bits``, built as ``PatientRecord(x=, z=, y=)``
+    from 1-D blocks or by ``from_bits``. An outcome equal to ``MISSING`` (-1)
+    is missing; scoring, fitting and ``outcome`` reject such a record.
+    """
 
     def outcome(self, spec: DagModelSpec, node_id: str) -> int:
         val = int(self.y[spec.node_index(node_id)])
@@ -308,46 +363,26 @@ class PatientRecord:
         return val
 
 
-@dataclass(frozen=True)
-class PatientData:
-    """Column-oriented batch of complete patient records."""
-
-    x: np.ndarray
-    z: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=np.int8)
-        z = np.asarray(self.z, dtype=np.int8)
-        y = np.asarray(self.y, dtype=np.int8)
-        n = x.shape[0]
-        if z.shape[0] != n or y.shape[0] != n:
-            raise ModelConfigError("patient data blocks must share the row count")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "y", y)
+class PatientData(_BitRows):
+    """A batch of patients: the (n, k) matrix ``bits``, one patient per row,
+    built as ``PatientData(x=, z=, y=)`` from 2-D blocks, by ``from_bits``
+    around a bit matrix without a copy, or by ``from_records``.
+    """
 
     def __len__(self) -> int:
-        return self.x.shape[0]
+        return self.bits.shape[0]
 
     @classmethod
     def from_records(cls, records: Iterable[PatientRecord]) -> "PatientData":
         records = list(records)
         if not records:
             raise ModelConfigError("no patient records supplied")
-        return cls(
-            x=np.stack([r.x for r in records]),
-            z=np.stack([r.z for r in records]),
-            y=np.stack([r.y for r in records]),
-        )
-
-    def bits(self) -> np.ndarray:
-        """The records as one float 0/1 matrix laid out ``[x | z | y]``, the
-        row that ``NodeDesign`` columns index."""
-        return np.hstack([self.x, self.z, self.y]).astype(float)
+        if len({r.widths for r in records}) != 1:
+            raise ModelConfigError("patient records differ in their (x, z, y) widths")
+        return cls.__new__(cls)._set(np.stack([r.bits for r in records]), records[0].nx, records[0].nz)
 
     def record(self, i: int) -> PatientRecord:
-        return PatientRecord(x=self.x[i], z=self.z[i], y=self.y[i])
+        return PatientRecord.__new__(PatientRecord)._set(self.bits[i], self.nx, self.nz)
 
     def records(self) -> list[PatientRecord]:
         return [self.record(i) for i in range(len(self))]
@@ -365,16 +400,15 @@ def linear_predictor(spec: DagModelSpec, params: ParamVector, node_id: str, reco
 
     Raises ModelConfigError if a parent outcome is missing from the record.
     """
-    node = spec.node(node_id)
     design = node_designs(spec)[spec.node_index(node_id)]
     theta = params.values[design.param_indices]
-    row = np.concatenate([record.x, record.z, record.y])
-    n_cov = len(spec.covariate_names)
+    row = record.bits_for(spec)
+    n_cov = record.nx + record.nz
     eta = theta[0]
     for k, col in enumerate(design.cols, start=1):
         if col >= n_cov and row[col] == MISSING:
             raise ModelConfigError(
-                f"node {node.id}: parent outcome {spec.node_ids[col - n_cov]!r} is missing from the record"
+                f"node {node_id}: parent outcome {spec.columns[col]!r} is missing from the record"
             )
         eta += theta[k] * float(row[col])
     return float(eta)
@@ -391,23 +425,20 @@ def enumerate_patients(
     of i in column j of the ``[x | z | y]`` row. The number of binary
     variables must not exceed ``limit``.
     """
-    nx, nz, nv = len(spec.process_ids), len(spec.risk_ids), spec.n_nodes
-    total = nx + nz + nv
+    total = sum(spec.widths)
     if total > limit:
         raise ModelConfigError(
             f"exact enumeration over {total} binary variables exceeds the limit of {limit}"
         )
     n = 1 << total
     bits = ((np.arange(n)[:, None] >> np.arange(total)[None, :]) & 1).astype(float)
-    px, pz = covariates.arrays(spec)
     probs = np.ones(n)
-    for j, p in enumerate(np.concatenate([px, pz])):
+    for j, p in enumerate(covariates.prevalences(spec)):
         probs *= np.where(bits[:, j] == 1.0, p, 1.0 - p)
     for design in node_designs(spec):
         mu = expit(node_eta(design, params.values[design.param_indices], bits))
         probs *= np.where(bits[:, design.out_col] == 1.0, mu, 1.0 - mu)
-    data = PatientData(x=bits[:, :nx], z=bits[:, nx : nx + nz], y=bits[:, nx + nz :])
-    return data, probs
+    return PatientData.from_bits(spec, bits), probs
 
 
 # ---------------------------------------------------------------------------

@@ -75,7 +75,7 @@ def validate_shift_targets(spec: DagModelSpec, params: ParamVector, kind: str, t
 
 def _check_mean_additive(generator: PatientGenerator, node_id: str, c: float) -> None:
     spec = generator.spec
-    n_binary = len(spec.covariate_names) + spec.n_nodes
+    n_binary = sum(spec.widths)
     if n_binary > _ENUM_LIMIT:
         raise ShiftError(
             "mean-additive validity check needs exact enumeration, but the model has "
@@ -83,7 +83,7 @@ def _check_mean_additive(generator: PatientGenerator, node_id: str, c: float) ->
         )
     data, probs = enumerate_patients(spec, generator.params, generator.covariates, limit=_ENUM_LIMIT)
     design = node_designs(spec)[spec.node_index(node_id)]
-    mu = expit(node_eta(design, generator.params.values[design.param_indices], data.bits()))
+    mu = expit(node_eta(design, generator.params.values[design.param_indices], data.bits))
     reachable = probs > 0.0
     shifted = mu[reachable] * (1.0 + c)
     if shifted.size and (shifted.max() >= 1.0 or shifted.min() <= 0.0):

@@ -245,3 +245,12 @@ def test_run_stream_matches_manual_updates(delivery):
         state, t2, signal = sm.update(state, s)
         expected.append((state.t, t2, signal))
     assert list(sm.run_stream(delivery.spec, delivery.params, config, data)) == expected
+
+
+@pytest.mark.parametrize("nx", [1, 3])
+def test_run_stream_rejects_rows_laid_out_for_another_model(delivery, nx):
+    sigma = sm.expected_score_covariance(delivery.spec, delivery.params, delivery.covariates).values
+    config = sm.ChartConfig(sigma_s=sigma, r=0.1, h=50.0)
+    record = sm.PatientRecord(x=np.zeros(nx), z=np.zeros(2), y=np.zeros(4))
+    with pytest.raises(ModelConfigError, match=rf"\({nx}, 2, 4\).*\(2, 2, 4\)"):
+        list(sm.run_stream(delivery.spec, delivery.params, config, [record]))

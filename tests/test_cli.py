@@ -1,8 +1,11 @@
+import gc
 import json
 import os
 import subprocess
 import sys
 import time
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -135,7 +138,7 @@ def test_calibrate_payload_and_rerun(work, calibrated, tmp_path):
 def test_calibrate_matches_library(work, calibrated):
     root, model = work
     _, payload = calibrated
-    model_obj = sm.parse_model_spec(open(model).read())
+    model_obj = sm.parse_model_spec(Path(model).read_text())
     sigma = sm.expected_score_covariance(model_obj.spec, model_obj.params, model_obj.covariates)
     config = sm.ChartConfig(sigma_s=sigma.values, r=0.1, coord_names=model_obj.params.names)
     res = sm.calibrate_h(
@@ -197,7 +200,7 @@ def test_study_matches_library(work, calibrated, tmp_path):
     assert run("study", model, model, "--shift", "coefficient", "--targets", "beta24",
                "--c-grid", "1.0,2.0", "--h", payload["h"], "--reps", 50, "--max-rl", 80,
                "--seed", 31, "-o", out) == 0
-    model_obj = sm.parse_model_spec(open(model).read())
+    model_obj = sm.parse_model_spec(Path(model).read_text())
     sigma = sm.expected_score_covariance(model_obj.spec, model_obj.params, model_obj.covariates)
     config = sm.ChartConfig(sigma_s=sigma.values, r=0.1, h=payload["h"], coord_names=model_obj.params.names)
     grid = sm.StudyGrid(shift=sm.ShiftSpec("coefficient", ("beta24",), 0.0),
@@ -242,7 +245,7 @@ def test_monitor_matches_run_stream(work, calibrated, tmp_path):
     data_csv = root / "fitdata.csv"
     out = tmp_path / "trace.csv"
     assert run("monitor", model, model, data_csv, "--h", payload["h"], "--r", 0.1, "-o", out) == 0
-    model_obj = sm.parse_model_spec(open(model).read())
+    model_obj = sm.parse_model_spec(Path(model).read_text())
     sigma = sm.expected_score_covariance(model_obj.spec, model_obj.params, model_obj.covariates)
     config = sm.ChartConfig(sigma_s=sigma.values, r=0.1, h=payload["h"], coord_names=model_obj.params.names)
     data = fio.read_patient_csv(str(data_csv), model_obj.spec)
@@ -297,42 +300,53 @@ def test_monitor_echoes_sigma_samples_in_mc_mode_only(work, tmp_path):
     }
 
 
+def test_monitor_closes_input_when_output_cannot_open(work, tmp_path):
+    root, model = work
+    data_csv = tmp_path / "sim.csv"
+    assert run("simulate", model, model, "--n", 5, "--seed", 1, "-o", data_csv) == 0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run("monitor", model, model, data_csv, "--h", 10, "-o", tmp_path / "missing_dir" / "x.csv") == 2
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
 def test_monitor_streams_incrementally(work, tmp_path):
     root, model = work
     out = tmp_path / "live.csv"
     cols = fio.patient_columns(sm.default_delivery_model().spec)
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "score_mewma", "monitor", model, model, "-",
          "--h", "1e9", "-o", str(out)],
         stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
-    )
-    try:
-        proc.stdin.write(",".join(cols) + "\n")
-        proc.stdin.write(",".join(["0"] * 8) + "\n")
-        proc.stdin.flush()
+    ) as proc:
+        try:
+            proc.stdin.write(",".join(cols) + "\n")
+            proc.stdin.write(",".join(["0"] * 8) + "\n")
+            proc.stdin.flush()
 
-        def rows_written():
-            if not out.exists():
-                return 0
-            return sum(
-                1 for ln in out.read_text().splitlines()
-                if ln and not ln.startswith("#") and not ln.startswith("t,")
-            )
+            def rows_written():
+                if not out.exists():
+                    return 0
+                return sum(
+                    1 for ln in out.read_text().splitlines()
+                    if ln and not ln.startswith("#") and not ln.startswith("t,")
+                )
 
-        deadline = time.time() + 15.0
-        while rows_written() < 1 and time.time() < deadline:
-            time.sleep(0.05)
-        assert rows_written() == 1, "first row should appear before EOF"
-        proc.stdin.write(",".join(["1"] * 8) + "\n")
-        proc.stdin.flush()
-        deadline = time.time() + 15.0
-        while rows_written() < 2 and time.time() < deadline:
-            time.sleep(0.05)
-        assert rows_written() == 2
-        proc.stdin.close()
-        assert proc.wait(timeout=15) == 0
-    finally:
-        proc.kill()
+            deadline = time.time() + 15.0
+            while rows_written() < 1 and time.time() < deadline:
+                time.sleep(0.05)
+            assert rows_written() == 1, "first row should appear before EOF"
+            proc.stdin.write(",".join(["1"] * 8) + "\n")
+            proc.stdin.flush()
+            deadline = time.time() + 15.0
+            while rows_written() < 2 and time.time() < deadline:
+                time.sleep(0.05)
+            assert rows_written() == 2
+            proc.stdin.close()
+            assert proc.wait(timeout=15) == 0
+        finally:
+            proc.kill()
 
 
 def test_fit_rerun_byte_identical(work, tmp_path):
@@ -358,7 +372,7 @@ def test_version_and_usage():
 
 def test_singular_chart_covariance_exits_2(work, tmp_path, capsys):
     root, model = work
-    doc = json.loads(open(model).read())
+    doc = json.loads(Path(model).read_text())
     for cov in doc["covariates"]:
         if cov["id"] == "X1":
             cov["prevalence"] = 1e-13

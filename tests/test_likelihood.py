@@ -339,3 +339,17 @@ def test_fit_mle_reports_log_likelihood_bit_equal(delivery):
     bad = sm.PatientData(x=data.x * 2, z=data.z, y=data.y)
     with pytest.raises(DataFormatError):
         sm.log_likelihood(delivery.spec, delivery.params, bad)
+
+
+@pytest.mark.parametrize("nx", [1, 3])
+def test_rows_laid_out_for_another_model_are_rejected(delivery, nx):
+    # at width 3 the third x column would otherwise be read as Z1
+    record = sm.PatientRecord(x=np.zeros(nx), z=np.zeros(2), y=np.zeros(4))
+    data = sm.PatientData.from_records([record] * 3)
+    widths = rf"\({nx}, 2, 4\).*\(2, 2, 4\)"
+    with pytest.raises(ModelConfigError, match=widths):
+        sm.per_record_scores(delivery.spec, delivery.params, [record])
+    with pytest.raises(ModelConfigError, match=widths):
+        sm.log_likelihood(delivery.spec, delivery.params, data)
+    with pytest.raises(ModelConfigError, match=widths):
+        sm.fit_mle(delivery.spec, data)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import score_mewma as sm
-from score_mewma.mc import BUF, _generate_batch, simulate_run_lengths
+from score_mewma.mc import simulate_run_lengths
 
 from conftest import oracle_enumerate
 
@@ -61,13 +61,9 @@ def test_kernel_matches_reference_stream(delivery, chart):
     gen = sm.in_control_generator(delivery)
     max_rl = 250
     sample = simulate_run_lengths(gen, delivery.params, chart, reps=6, max_rl=max_rl, seed=99, track_records=True)
-    k = len(delivery.spec.covariate_names) + delivery.spec.n_nodes
     for rep in range(6):
-        rng = sm.replication_rng(99, rep)
-        blocks = [rng.random((BUF, k)) for _ in range((max_rl + BUF - 1) // BUF)]
-        u = np.concatenate(blocks)[:max_rl]
-        xf, zf, yf = _generate_batch(gen, u)
-        data = sm.PatientData(x=xf.astype(np.int8), z=zf.astype(np.int8), y=yf.astype(np.int8))
+        # one draw of max_rl rows reads the uniforms the kernel reads BUF rows at a time
+        data = sm.sample_patients(gen, max_rl, sm.replication_rng(99, rep))
         trace = list(sm.run_stream(delivery.spec, delivery.params, chart, data))
         # first signal time matches the kernel's run length
         signals = [t for t, _, sig in trace if sig]
@@ -95,12 +91,8 @@ def test_kernel_unequal_r_matches_reference(delivery):
     gen = sm.in_control_generator(delivery)
     max_rl = 200
     sample = simulate_run_lengths(gen, delivery.params, config, reps=4, max_rl=max_rl, seed=5)
-    k = len(delivery.spec.covariate_names) + delivery.spec.n_nodes
     for rep in range(4):
-        rng = sm.replication_rng(5, rep)
-        u = np.concatenate([rng.random((BUF, k)) for _ in range((max_rl + BUF - 1) // BUF)])[:max_rl]
-        xf, zf, yf = _generate_batch(gen, u)
-        data = sm.PatientData(x=xf.astype(np.int8), z=zf.astype(np.int8), y=yf.astype(np.int8))
+        data = sm.sample_patients(gen, max_rl, sm.replication_rng(5, rep))
         signals = [t for t, _, sig in sm.run_stream(delivery.spec, delivery.params, config, data) if sig]
         assert sample.run_lengths[rep] == (signals[0] if signals else max_rl)
 
@@ -156,12 +148,8 @@ def test_kernel_under_shift_matches_reference_stream(delivery, chart, shift):
     sample = simulate_run_lengths(
         gen, delivery.params, chart, reps=reps, max_rl=max_rl, seed=21, track_records=True
     )
-    k = len(delivery.spec.covariate_names) + delivery.spec.n_nodes
     for rep in range(reps):
-        rng = sm.replication_rng(21, rep)
-        u = np.concatenate([rng.random((BUF, k)) for _ in range((max_rl + BUF - 1) // BUF)])[:max_rl]
-        xf, zf, yf = _generate_batch(gen, u)
-        data = sm.PatientData(x=xf, z=zf, y=yf)
+        data = sm.sample_patients(gen, max_rl, sm.replication_rng(21, rep))
         trace = list(sm.run_stream(delivery.spec, delivery.params, chart, data, stop_at_signal=True))
         signals = [t for t, _, sig in trace if sig]
         assert sample.run_lengths[rep] == (signals[0] if signals else max_rl)
@@ -173,3 +161,30 @@ def test_kernel_under_shift_matches_reference_stream(delivery, chart, shift):
         times, values = sample.staircases[rep]
         np.testing.assert_array_equal(times, [t for t, _ in refs])
         np.testing.assert_allclose(values, [v for _, v in refs], rtol=1e-9)
+
+
+def test_kernel_matches_exact_short_horizon_probabilities(delivery):
+    """P(RL = 1) and P(RL = 2) of the acceptance chart, enumerated over the
+    256 patient types and their ordered pairs, bound the kernel's run lengths."""
+    r, h, reps = 0.02, 35.686, 20_000
+    sigma = sm.expected_score_covariance(delivery.spec, delivery.params, delivery.covariates).values
+    data, probs = sm.enumerate_patients(delivery.spec, delivery.params, delivery.covariates)
+    s = sm.per_record_scores(delivery.spec, delivery.params, data)
+    gram = s @ np.linalg.inv(sigma) @ s.T
+    quad = np.diag(gram)
+    # Sigma_W,t = f_t Sigma_S with f_1 = r^2, so T2_1 = s_1' Sigma_S^-1 s_1
+    first = quad > h
+    f2 = r * (1.0 - (1.0 - r) ** 4) / (2.0 - r)
+    # w_2 = r (s_2 + (1 - r) s_1); rows index s_1, columns s_2
+    t2_second = r * r / f2 * (quad[None, :] + 2.0 * (1.0 - r) * gram + (1.0 - r) ** 2 * quad[:, None])
+    p1 = float(probs[first].sum())
+    p2 = float(probs[~first] @ ((t2_second[~first] > h) @ probs))
+    assert abs(p1 - 0.142738) < 1e-6 and abs(p2 - 0.056334) < 1e-6
+
+    config = sm.ChartConfig(sigma_s=sigma, r=r, h=h, covariance_mode="exact-recursive")
+    sample = simulate_run_lengths(
+        sm.in_control_generator(delivery), delivery.params, config, reps=reps, max_rl=2, seed=1, threads=1
+    )
+    for t, p in ((1, p1), (2, p2)):
+        p_hat = float((sample.resolved & (sample.run_lengths == t)).mean())
+        assert abs(p_hat - p) < 4.0 * np.sqrt(p * (1.0 - p) / reps), (t, p_hat, p)
