@@ -8,7 +8,6 @@ manifest's command line is re-run, which is what payload_bytes extracts.
 
 from __future__ import annotations
 
-import io as _io
 import json
 import math
 from dataclasses import dataclass

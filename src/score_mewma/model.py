@@ -339,7 +339,9 @@ class _BitRows:
     def bits_for(self, spec: DagModelSpec) -> np.ndarray:
         """``bits``; ModelConfigError unless its (x, z, y) widths are ``spec``'s."""
         if self.widths != spec.widths:
-            raise ModelConfigError(f"patient rows have (x, z, y) widths {self.widths}; the model expects {spec.widths}")
+            raise ModelConfigError(
+                f"patient rows have (x, z, y) widths {self.widths}; the model expects {spec.widths}"
+            )
         return self.bits
 
     def complete_bits(self, spec: DagModelSpec) -> np.ndarray:
