@@ -1,10 +1,10 @@
 """In-control ARL estimation and control-limit calibration.
 
-calibrate_h brackets the target by doubling, then bisects, exploiting that
-the ARL is nondecreasing in h. Within each stage of the replication schedule
-all limits are evaluated against the same simulated streams (via prefix
-maxima of the T2 paths), so the bisected function is exactly monotone and
-one simulation pass per stage suffices.
+calibrate_h simulates each stage of its replication schedule with every
+replication's T2 record staircase (prefix maxima), so one sample gives the
+run lengths at any limit up to its cap and its ARL is exactly nondecreasing
+in the limit: a stage whose ARL at the cap exceeds the target brackets the
+target by itself, and bisection needs no further pass.
 """
 
 from __future__ import annotations
@@ -68,6 +68,13 @@ class ArlResult:
 
 @dataclass(frozen=True)
 class CalibrationResult:
+    """A calibrated limit h with the final stage's ARL at h.
+
+    ``bracket`` is the final stage's last bisection interval (lo, hi], with
+    ARL(lo) < target <= ARL(hi) on that stage's streams and h its midpoint;
+    ``iterations`` counts bisection steps over all stages.
+    """
+
     h: float
     achieved_arl: ArlResult
     iterations: int
@@ -145,45 +152,6 @@ def _estimate_arl_phase1(generator, params0, config, reps, max_rl, seed, phase1_
     return _summarize(run_lengths, resolved, max_rl)
 
 
-class _StageEvaluator:
-    """ARL(h) on one stage's common streams, for any h up to a growing cap."""
-
-    def __init__(self, generator, params0, config, reps, max_rl, seed_parts, threads, cap0):
-        self._args = (generator, params0, config)
-        self._reps = reps
-        self._max_rl = max_rl
-        self._seed_parts = seed_parts
-        self._threads = threads
-        self._cap = cap0
-        self._sample = None
-
-    def _ensure(self, h: float):
-        # keep the cap tight: resolving a replication costs about ARL(cap)
-        # patients, so a generous cap multiplies the work
-        if self._sample is None or h > self._sample.cap:
-            self._cap = max(self._cap, 1.1 * h)
-            gen, params0, config = self._args
-            self._sample = simulate_run_lengths(
-                gen,
-                params0,
-                config,
-                reps=self._reps,
-                max_rl=self._max_rl,
-                seed=self._seed_parts,
-                cap=self._cap,
-                threads=self._threads,
-                track_records=True,
-            )
-
-    def arl(self, h: float) -> float:
-        return self.result(h).mean_rl
-
-    def result(self, h: float) -> ArlResult:
-        self._ensure(h)
-        rl, resolved = self._sample.at_limit(h)
-        return _summarize(rl, resolved, self._max_rl)
-
-
 def calibrate_h(
     generator: PatientGenerator,
     params0,
@@ -197,54 +165,55 @@ def calibrate_h(
 ) -> CalibrationResult:
     """Find the control limit whose in-control ARL matches the target.
 
-    Brackets by doubling/halving, then bisects; later schedule stages rerun
-    the bracket at higher replication counts. Deterministic for a fixed seed.
+    Each stage of the schedule simulates its streams up to a cap 10% above
+    the previous stage's limit (the chi-square guess for stage 0), raising
+    the cap by half and simulating again while the ARL at the cap is at or
+    below the target, then bisects on [0, cap]. Deterministic for a fixed
+    seed.
     """
-    if not target_arl > 1.0:
-        raise CalibrationError("target ARL must exceed 1")
+    if not (target_arl > 1.0 and math.isfinite(target_arl)):
+        raise CalibrationError(f"target ARL must be finite and exceed 1, got {target_arl}")
     if not reps_schedule:
         raise CalibrationError("reps_schedule must not be empty")
     if max_rl is None:
         max_rl = int(round(20 * target_arl))
-    p = config.p
-    h_guess = max(1.0, float(chi2.ppf(1.0 - 1.0 / target_arl, df=p)))
+    if max_rl <= target_arl:
+        raise CalibrationError(f"max_rl {max_rl} must exceed the target ARL {target_arl:g}")
+    h = max(1.0, float(chi2.ppf(1.0 - 1.0 / target_arl, df=config.p)))
     base = _seed_parts(seed)
 
-    lo = hi = None
     iterations = 0
-    evaluator = None
     for stage, reps in enumerate(reps_schedule):
-        cap0 = 1.1 * (hi if hi is not None else h_guess)
-        evaluator = _StageEvaluator(
-            generator, params0, config, reps, max_rl, base + (stage,), threads, cap0=cap0
-        )
-        if lo is None:
-            lo = hi = h_guess
-        # restore the bracket invariant arl(lo) < target < arl(hi) on this stage
-        while evaluator.arl(lo) >= target_arl:
-            hi = lo
-            lo /= 1.5
-            if lo < 1e-9:
-                raise CalibrationError("bracketing failed: ARL above target for arbitrarily small h")
-        while evaluator.arl(hi) <= target_arl:
-            lo = max(lo, hi)
-            hi *= 1.5
-            if hi > H_MAX:
+        # keep the cap tight: resolving a replication costs about ARL(cap)
+        # patients, so a generous cap multiplies the work
+        cap = 1.1 * h
+        while True:
+            sample = simulate_run_lengths(
+                generator, params0, config, reps=reps, max_rl=max_rl,
+                seed=base + (stage,), cap=cap, threads=threads, track_records=True,
+            )
+            if sample.run_lengths.mean() > target_arl:
+                break
+            cap *= 1.5
+            if cap > H_MAX:
                 raise CalibrationError(f"bracketing failed: no h below {H_MAX:g} reaches ARL {target_arl}")
+        if sample.at_limit(0.0)[0].mean() >= target_arl:
+            raise CalibrationError("bracketing failed: ARL above target for arbitrarily small h")
+        # ARL(lo) < target <= ARL(hi), both read from this stage's staircases
+        lo, hi = 0.0, cap
         while hi - lo > 5e-4 * hi:
             mid = 0.5 * (lo + hi)
-            a = evaluator.arl(mid)
             iterations += 1
-            if a < target_arl:
+            if sample.at_limit(mid)[0].mean() < target_arl:
                 lo = mid
             else:
                 hi = mid
+        h = 0.5 * (lo + hi)
 
-    h_final = 0.5 * (lo + hi)
-    achieved = evaluator.result(h_final)
+    achieved = _summarize(*sample.at_limit(h), max_rl)
     if abs(achieved.mean_rl - target_arl) / target_arl >= rel_tolerance:
         raise CalibrationError(
             f"calibration did not reach the target within {100 * rel_tolerance:g}%: "
             f"achieved {achieved.mean_rl:.2f} for target {target_arl:g}; increase the final-stage reps"
         )
-    return CalibrationResult(h=h_final, achieved_arl=achieved, iterations=iterations, bracket=(lo, hi))
+    return CalibrationResult(h=h, achieved_arl=achieved, iterations=iterations, bracket=(lo, hi))

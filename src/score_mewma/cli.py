@@ -65,8 +65,8 @@ def _positive_finite(text: str) -> float:
 
 def _target_arl(text: str) -> float:
     value = float(text)
-    if not value > 1.0:
-        raise argparse.ArgumentTypeError("target ARL must exceed 1")
+    if not (value > 1.0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError("target ARL must be finite and exceed 1")
     return value
 
 
@@ -136,7 +136,6 @@ def cmd_calibrate(args) -> int:
     reps = args.reps
     # --reps is the final stage, so no stage runs more
     schedule = tuple(sorted({min(n, reps) for n in (max(100, reps // 10), max(500, reps // 3), reps)}))
-    max_rl = args.max_rl if args.max_rl else int(round(20 * args.target_arl))
     result = calibrate_h(
         in_control_generator(model),
         params,
@@ -145,7 +144,7 @@ def cmd_calibrate(args) -> int:
         rel_tolerance=args.rel_tolerance,
         reps_schedule=schedule,
         seed=args.seed,
-        max_rl=max_rl,
+        max_rl=args.max_rl,
         threads=args.threads,
     )
     echo = {
@@ -153,7 +152,7 @@ def cmd_calibrate(args) -> int:
         **chart_echo,
         "rel_tolerance": args.rel_tolerance,
         "reps_schedule": list(schedule),
-        "max_rl": max_rl,
+        "max_rl": result.achieved_arl.max_rl,
         "seed": args.seed,
     }
     payload = {

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import score_mewma as sm
+from score_mewma import calibrate
 from score_mewma.errors import CalibrationError
 
 
@@ -69,6 +70,57 @@ def test_calibrate_reaches_target_and_is_deterministic(delivery, setup):
     # independent re-estimate close to the target
     check = sm.estimate_arl(gen, delivery.params, config.with_h(res.h), reps=4000, max_rl=500, seed=999)
     assert abs(check.mean_rl - 25.0) / 25.0 < 0.05
+
+
+def test_each_stage_resimulates_only_while_its_cap_is_short(delivery, setup, monkeypatch):
+    # a stage simulates again only when the mean run length at its cap has
+    # not passed the target; a sample that passes it brackets the target
+    gen, config = setup
+    passes = []
+    simulate = calibrate.simulate_run_lengths
+
+    def record(*args, **kwargs):
+        sample = simulate(*args, **kwargs)
+        passes.append((kwargs["seed"], float(sample.run_lengths.mean())))
+        return sample
+
+    monkeypatch.setattr(calibrate, "simulate_run_lengths", record)
+    sm.calibrate_h(gen, delivery.params, config, target_arl=25.0, reps_schedule=(500, 2000), seed=12, max_rl=500)
+    stages = [seed for seed, _ in passes]
+    assert stages == sorted(stages) and len(set(stages)) == 2
+    for (stage, mean), (next_stage, _) in zip(passes, passes[1:] + [(None, None)]):
+        if next_stage == stage:
+            assert mean <= 25.0
+        else:
+            assert mean > 25.0
+
+
+def test_warmup_beyond_target_has_no_limit(delivery, setup):
+    # no replication can signal before patient 30, so every h gives ARL >= 30
+    gen, config = setup
+    config = sm.ChartConfig(sigma_s=config.sigma_s, r=0.1, warmup=30)
+    with pytest.raises(CalibrationError, match="ARL above target for arbitrarily small h"):
+        sm.calibrate_h(gen, delivery.params, config, 25.0, reps_schedule=(200,), seed=3, max_rl=500)
+
+
+@pytest.mark.parametrize("max_rl", [40, 50])
+def test_max_rl_not_above_target_rejected_before_simulating(delivery, setup, monkeypatch, max_rl):
+    # an ARL censored at max_rl never exceeds max_rl, so no cap could reach the target
+    gen, config = setup
+
+    def no_pass(*args, **kwargs):
+        raise AssertionError("simulated a pass")
+
+    monkeypatch.setattr(calibrate, "simulate_run_lengths", no_pass)
+    with pytest.raises(CalibrationError, match=f"max_rl {max_rl} must exceed the target ARL 50"):
+        sm.calibrate_h(gen, delivery.params, config, target_arl=50.0, max_rl=max_rl, reps_schedule=(1000,))
+
+
+@pytest.mark.parametrize("target", [math.inf, math.nan])
+def test_target_must_be_finite(delivery, setup, target):
+    gen, config = setup
+    with pytest.raises(CalibrationError, match="finite"):
+        sm.calibrate_h(gen, delivery.params, config, target_arl=target)
 
 
 def test_smaller_target_needs_smaller_h(delivery, setup):

@@ -406,6 +406,24 @@ def test_nonpositive_rel_tolerance_rejected_at_parse_time(work, tmp_path, tol):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("target", ["inf", "nan", "1"])
+def test_nonfinite_or_small_target_arl_rejected_at_parse_time(work, tmp_path, target, capsys):
+    root, model = work
+    out = tmp_path / "cal.json"
+    assert run("calibrate", model, model, "--target-arl", target, "-o", out) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "target ARL must be finite and exceed 1" in err and "Traceback" not in err
+
+
+def test_calibrate_max_rl_not_above_target_exits_4(work, tmp_path, capsys):
+    root, model = work
+    out = tmp_path / "cal.json"
+    assert run("calibrate", model, model, "--target-arl", 50, "--max-rl", 40, "-o", out) == 4
+    assert not out.exists()
+    assert "max_rl 40 must exceed the target ARL 50" in capsys.readouterr().err
+
+
 def test_negative_seed_rejected_at_parse_time(work, tmp_path, capsys):
     root, model = work
     out = tmp_path / "out"
