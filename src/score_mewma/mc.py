@@ -5,13 +5,24 @@ Every replication owns an independent RNG stream derived from
 batching or thread count. Replications are processed in fixed-size chunks
 that a thread pool may pick up in any order; the per-replication numbers are
 identical either way.
+
+Inside a chunk every active replication is one lane of a (lanes, p) array
+that takes one patient step at a time. Lanes read their uniforms from a
+block of BUF patients per replication, drawn at each refill; a row map
+picks the active lanes' rows out of that block, so a resolved lane drops
+out without copying the block. When a patient has at most ``_TYPE_LIMIT``
+bits, a step reads its scores from tables over the 2^k patient types:
+each node's generating mean and the score row of every type. Above the
+limit each patient is generated and scored on its own. Both paths do the
+same arithmetic per patient, so they give the same floats.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import expit
@@ -19,10 +30,11 @@ from scipy.special import expit
 from .chart import ChartConfig
 from .errors import ModelConfigError, ShiftError
 from .likelihood import score_rows
-from .model import CovariateModel, DagModelSpec, ParamVector, PatientData, node_designs, node_eta
+from .model import CovariateModel, DagModelSpec, ParamVector, PatientData, node_designs, node_eta, type_bits
 
 CHUNK = 2048  # replications per work unit; fixed so thread count cannot matter
 BUF = 256  # patients drawn per RNG call, amortizes generator overhead
+_TYPE_LIMIT = 16  # most bits per patient for which the kernel scores from type tables
 
 ENV_THREADS = "SCORE_MEWMA_THREADS"
 
@@ -101,16 +113,24 @@ class _AncestralPass:
             node_id, kind, c = generator.mu_shift
             self.shift_node, self.shift = spec.node_index(node_id), (kind, c)
 
+    def node_means(self, vi: int, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Node vi's generating mean, after any mean shift, and its mean at
+        params0, for every row of bits whose parent columns are set."""
+        design = self.designs[vi]
+        mu = expit(node_eta(design, self.theta_gen[vi], bits))
+        mu0 = mu if self.same[vi] else expit(node_eta(design, self.theta0[vi], bits))
+        if vi == self.shift_node:
+            mu = apply_mean_shift(*self.shift, mu)
+        return mu, mu0
+
     def __call__(self, u: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         n_cov = self.p_cov.shape[0]
         bits = np.empty(u.shape)
         bits[:, :n_cov] = u[:, :n_cov] < self.p_cov
         means = []
         for vi, design in enumerate(self.designs):
-            mu = expit(node_eta(design, self.theta_gen[vi], bits))
-            means.append(mu if self.same[vi] else expit(node_eta(design, self.theta0[vi], bits)))
-            if vi == self.shift_node:
-                mu = apply_mean_shift(*self.shift, mu)
+            mu, mu0 = self.node_means(vi, bits)
+            means.append(mu0)
             bits[:, design.out_col] = u[:, design.out_col] < mu
         return bits, means
 
@@ -136,7 +156,12 @@ def sample_patients(generator: PatientGenerator, n: int, rng) -> PatientData:
 
 
 class _CompiledSim:
-    """Arrays and index plans shared by every chunk of one simulation."""
+    """Arrays and index plans shared by every chunk of one simulation.
+
+    With k <= _TYPE_LIMIT bits per patient it holds, per node, the generating
+    mean of each of the 2^k patient types and the (2^k, p) score table at
+    params0; type i has bit j of i in column j of the ``[x | z | y]`` row.
+    """
 
     def __init__(self, generator: PatientGenerator, params0: ParamVector, config: ChartConfig, max_rl: int):
         self.sample = _AncestralPass(generator, params0)
@@ -147,6 +172,24 @@ class _CompiledSim:
         # every Sigma_W a run can reach is checked and inverted before any thread starts
         self.evaluator.inverse(max_rl)
         self.factors = self.evaluator.factor(np.arange(1, max_rl + 1, dtype=float))
+        self.table = None
+        if self.k <= _TYPE_LIMIT:
+            types = type_bits(self.k)
+            means = [self.sample.node_means(vi, types) for vi in range(len(self.sample.designs))]
+            self.type_means = [mu for mu, _ in means]
+            self.table = score_rows(self.sample.designs, types, [mu0 for _, mu0 in means])
+            self.cov_weights = 1 << np.arange(self.sample.p_cov.shape[0])
+
+    def scores(self, u: np.ndarray) -> np.ndarray:
+        """(n, p) scores of the patients drawn from an (n, k) block of uniforms."""
+        if self.table is None:
+            bits, means = self.sample(u)
+            return score_rows(self.sample.designs, bits, means)
+        p_cov = self.sample.p_cov
+        typ = (u[:, : p_cov.shape[0]] < p_cov) @ self.cov_weights
+        for design, mu in zip(self.sample.designs, self.type_means):
+            typ += (u[:, design.out_col] < mu[typ]) << design.out_col
+        return self.table[typ]
 
 
 @dataclass
@@ -164,21 +207,32 @@ class RunLengthSample:
     cap: float
     max_rl: int
     staircases: list[tuple[np.ndarray, np.ndarray]] | None = None
+    _flat: tuple[np.ndarray, ...] | None = field(default=None, init=False, repr=False, compare=False)
 
     def at_limit(self, h: float) -> tuple[np.ndarray, np.ndarray]:
         """Run lengths and resolution flags for a limit h <= cap."""
         if self.staircases is None:
             raise ModelConfigError("record tracking was disabled for this sample")
-        if h > self.cap:
+        if math.isnan(h):
+            raise ModelConfigError("the limit must be a number, got nan")
+        if not h <= self.cap:
             raise ModelConfigError(f"limit {h} exceeds the simulated cap {self.cap}")
-        n = len(self.staircases)
-        rl = np.full(n, self.max_rl, dtype=np.int64)
-        resolved = np.zeros(n, dtype=bool)
-        for i, (times, values) in enumerate(self.staircases):
-            j = int(np.searchsorted(values, h, side="right"))
-            if j < len(values):
-                rl[i] = times[j]
-                resolved[i] = True
+        if self._flat is None:
+            lengths = np.array([len(v) for _, v in self.staircases], dtype=np.int64)
+            ends = np.cumsum(lengths)
+            filled = lengths > 0
+            times = np.concatenate([t for t, _ in self.staircases] + [np.zeros(0, dtype=np.int64)])
+            values = np.concatenate([v for _, v in self.staircases] + [np.zeros(0)])
+            self._flat = (filled, (ends - lengths)[filled], ends, times, values)
+        filled, starts, ends, times, values = self._flat
+        # a staircase rises strictly, so its values above h end it: the first
+        # lies `above` places before its end; an empty staircase stays censored
+        above = np.zeros(ends.size, dtype=np.int64)
+        if starts.size:
+            above[filled] = np.add.reduceat(values > h, starts)
+        resolved = above > 0
+        rl = np.full(ends.size, self.max_rl, dtype=np.int64)
+        rl[resolved] = times[(ends - above)[resolved]]
         return rl, resolved
 
 
@@ -191,7 +245,13 @@ def _simulate_chunk(
 ):
     """Run one replication per generator to its first T2 above cap or max_rl.
 
-    Each replication draws its patients BUF at a time from its own generator.
+    Each replication draws its patients BUF at a time from its own generator
+    into one (lanes, BUF, k) block per refill. ``rows`` maps the active lanes
+    to their rows of that block; it stays None, and steps read the block
+    whole, until a lane resolves. A resolution shrinks only ``rows`` and the
+    per-lane state; the next refill draws a block for the active lanes alone.
+    Scores come from ``sim.scores``, which reads the type tables when the
+    patient has at most ``_TYPE_LIMIT`` bits.
     """
     n_reps = len(gens)
     active = np.arange(n_reps)
@@ -200,7 +260,7 @@ def _simulate_chunk(
     resolved_t = np.zeros(n_reps, dtype=np.int64)
     st_t = [[] for _ in range(n_reps)] if track_records else None
     st_v = [[] for _ in range(n_reps)] if track_records else None
-    buf = None
+    buf = rows = None
 
     for t in range(1, max_rl + 1):
         off = (t - 1) % BUF
@@ -208,8 +268,8 @@ def _simulate_chunk(
             buf = np.empty((active.size, BUF, sim.k))
             for i, a in enumerate(active):
                 buf[i] = gens[a].random((BUF, sim.k))
-        bits, means = sim.sample(buf[:, off, :])
-        s = score_rows(sim.sample.designs, bits, means)
+            rows = None
+        s = sim.scores(buf[:, off] if rows is None else buf[rows, off])
         w = sim.r_vec * s + (1.0 - sim.r_vec) * w
         t2 = sim.evaluator.t2(w, t, sim.factors[t - 1])
         if t < sim.warmup:
@@ -228,7 +288,7 @@ def _simulate_chunk(
             active = active[keep]
             w = w[keep]
             rec = rec[keep]
-            buf = buf[keep]
+            rows = np.flatnonzero(keep) if rows is None else rows[keep]
             if active.size == 0:
                 break
 
@@ -267,6 +327,8 @@ def simulate_run_lengths(
         cap = config.h
     if cap is None:
         raise ModelConfigError("either config.h or an explicit cap is required")
+    if math.isnan(cap):
+        raise ModelConfigError("cap must be a number, got nan")
     parts = _seed_parts(seed)
     sim = _CompiledSim(generator, params0, config, max_rl)
     chunks = [(lo, min(lo + CHUNK, reps) - lo) for lo in range(0, reps, CHUNK)]

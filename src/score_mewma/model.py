@@ -416,6 +416,11 @@ def linear_predictor(spec: DagModelSpec, params: ParamVector, node_id: str, reco
     return float(eta)
 
 
+def type_bits(k: int) -> np.ndarray:
+    """The (2^k, k) float matrix of every bit row: row i has bit j of i in column j."""
+    return ((np.arange(1 << k)[:, None] >> np.arange(k)[None, :]) & 1).astype(float)
+
+
 def enumerate_patients(
     spec: DagModelSpec,
     params: ParamVector,
@@ -432,9 +437,8 @@ def enumerate_patients(
         raise ModelConfigError(
             f"exact enumeration over {total} binary variables exceeds the limit of {limit}"
         )
-    n = 1 << total
-    bits = ((np.arange(n)[:, None] >> np.arange(total)[None, :]) & 1).astype(float)
-    probs = np.ones(n)
+    bits = type_bits(total)
+    probs = np.ones(bits.shape[0])
     for j, p in enumerate(covariates.prevalences(spec)):
         probs *= np.where(bits[:, j] == 1.0, p, 1.0 - p)
     for design in node_designs(spec):

@@ -1,7 +1,10 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 import score_mewma as sm
+from score_mewma import mc
 from score_mewma.mc import simulate_run_lengths
 
 from conftest import oracle_enumerate
@@ -188,3 +191,101 @@ def test_kernel_matches_exact_short_horizon_probabilities(delivery):
     for t, p in ((1, p1), (2, p2)):
         p_hat = float((sample.resolved & (sample.run_lengths == t)).mean())
         assert abs(p_hat - p) < 4.0 * np.sqrt(p * (1.0 - p) / reps), (t, p_hat, p)
+
+
+def test_nan_limits_are_rejected(delivery, chart):
+    gen = sm.in_control_generator(delivery)
+    with pytest.raises(sm.ModelConfigError, match="cap"):
+        simulate_run_lengths(gen, delivery.params, chart, reps=20, max_rl=50, seed=1, cap=float("nan"))
+    tracked = simulate_run_lengths(gen, delivery.params, chart, reps=20, max_rl=50, seed=1, track_records=True)
+    with pytest.raises(sm.ModelConfigError, match="limit"):
+        tracked.at_limit(float("nan"))
+    # a sample whose cap is nan bounds no limit
+    odd = mc.RunLengthSample(tracked.run_lengths, tracked.resolved, float("nan"), 50, tracked.staircases)
+    with pytest.raises(sm.ModelConfigError, match="exceeds"):
+        odd.at_limit(1e9)
+
+
+def test_at_limit_reads_empty_staircases_as_censored(delivery):
+    sigma = sm.expected_score_covariance(delivery.spec, delivery.params, delivery.covariates).values
+    config = sm.ChartConfig(sigma_s=sigma, r=0.1, h=1e-9, warmup=5)
+    gen = sm.in_control_generator(delivery)
+    sample = simulate_run_lengths(gen, delivery.params, config, reps=30, max_rl=3, seed=1, track_records=True)
+    assert all(len(v) == 0 for _, v in sample.staircases)
+    rl, resolved = sample.at_limit(0.0)
+    np.testing.assert_array_equal(rl, np.full(30, 3))
+    assert not resolved.any()
+
+
+_ACCEPTANCE_CHART = dict(r=0.02, h=35.7)
+_UNEQUAL_R_CHART = dict(r=tuple(np.linspace(0.01, 0.05, 17)), h=40.0)
+
+
+@pytest.mark.parametrize(
+    "shift, chart_kw, track",
+    [
+        (None, _ACCEPTANCE_CHART, False),
+        (None, _ACCEPTANCE_CHART, True),
+        (sm.ShiftSpec("coefficient", ("beta24",), 0.5), _ACCEPTANCE_CHART, True),
+        (sm.ShiftSpec("mean-additive", ("Y3",), 1.0), _ACCEPTANCE_CHART, True),
+        (sm.ShiftSpec("mean-odds", ("Y3",), 2.0), _ACCEPTANCE_CHART, True),
+        (None, dict(_ACCEPTANCE_CHART, warmup=5), True),
+        (None, _UNEQUAL_R_CHART, True),
+    ],
+    ids=["in-control", "tracked", "coefficient", "mean-additive", "mean-odds", "warmup", "unequal-r"],
+)
+def test_type_tables_equal_per_patient_path(delivery, monkeypatch, shift, chart_kw, track):
+    """Scores read from the patient-type tables are the per-patient floats."""
+    sigma = sm.expected_score_covariance(delivery.spec, delivery.params, delivery.covariates).values
+    config = sm.ChartConfig(sigma_s=sigma, **chart_kw)
+    gen = sm.in_control_generator(delivery)
+    if shift is not None:
+        gen = sm.apply_shift(gen, shift)
+    kw = dict(reps=300, max_rl=600, seed=8, threads=1, track_records=track)
+    tables = simulate_run_lengths(gen, delivery.params, config, **kw)
+    monkeypatch.setattr(mc, "_TYPE_LIMIT", 0)
+    direct = simulate_run_lengths(gen, delivery.params, config, **kw)
+    np.testing.assert_array_equal(tables.run_lengths, direct.run_lengths)
+    np.testing.assert_array_equal(tables.resolved, direct.resolved)
+    # lanes resolve within a block and others run on past the next refill
+    assert tables.resolved.any() and tables.run_lengths.max() > mc.BUF
+    if track:
+        for (ta, va), (tb, vb) in zip(tables.staircases, direct.staircases, strict=True):
+            np.testing.assert_array_equal(ta, tb)
+            np.testing.assert_array_equal(va, vb)
+
+
+def test_multi_chunk_run_is_thread_independent(delivery, chart):
+    gen = sm.in_control_generator(delivery)
+    kw = dict(reps=2 * mc.CHUNK + 3, max_rl=40, seed=31, track_records=True)
+    a = simulate_run_lengths(gen, delivery.params, chart, threads=1, **kw)
+    b = simulate_run_lengths(gen, delivery.params, chart, threads=2, **kw)
+    np.testing.assert_array_equal(a.run_lengths, b.run_lengths)
+    np.testing.assert_array_equal(a.resolved, b.resolved)
+    assert a.resolved.any() and not a.resolved.all()
+    for (ta, va), (tb, vb) in zip(a.staircases, b.staircases, strict=True):
+        np.testing.assert_array_equal(ta, tb)
+        np.testing.assert_array_equal(va, vb)
+
+
+@pytest.mark.parametrize(
+    "shift, digest",
+    [
+        (None, "1dfa9b9f54d7c749c8d28706c200aad9b75bd0b6c332cb00b2bb7bb145ac5218"),
+        (
+            sm.ShiftSpec("mean-additive", ("Y3",), 1.0),
+            "3dec449f11b3cabc326851f823c7a67041bd0ed63544f20b3bceb6d127b004e1",
+        ),
+    ],
+    ids=["in-control", "mean-additive"],
+)
+def test_kernel_run_lengths_are_pinned(delivery, shift, digest):
+    """SHA-256 of the int64 run lengths of two fixed runs: a kernel change
+    that moves any run length, at any thread count, fails here."""
+    sigma = sm.expected_score_covariance(delivery.spec, delivery.params, delivery.covariates).values
+    config = sm.ChartConfig(sigma_s=sigma, r=0.02, h=35.7, covariance_mode="exact-recursive")
+    gen = sm.in_control_generator(delivery)
+    if shift is not None:
+        gen = sm.apply_shift(gen, shift)
+    sample = simulate_run_lengths(gen, delivery.params, config, reps=3000, max_rl=600, seed=2020, threads=2)
+    assert hashlib.sha256(sample.run_lengths.astype(np.int64).tobytes()).hexdigest() == digest
