@@ -4,7 +4,9 @@ Every replication owns an independent RNG stream derived from
 (seed, replication index), so results do not depend on execution order,
 batching or thread count. Replications are processed in fixed-size chunks
 that a thread pool may pick up in any order; the per-replication numbers are
-identical either way.
+identical either way. A chunk derives the seed words of all its streams in
+one numpy pass that reproduces ``SeedSequence``'s hashing, so its streams
+equal those of ``replication_rng``.
 
 Inside a chunk every active replication is one lane of a (lanes, p) array
 that takes one patient step at a time. Lanes read their uniforms from a
@@ -20,11 +22,13 @@ same arithmetic per patient, so they give the same floats.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 from scipy.special import expit
 
 from .chart import ChartConfig
@@ -58,15 +62,110 @@ def resolve_threads(threads: int | None = None) -> int:
 
 
 def _seed_parts(seed) -> tuple[int, ...]:
-    if isinstance(seed, (tuple, list)):
-        return tuple(int(s) for s in seed)
-    return (int(seed),)
+    """The seed as a tuple of non-negative ints; a seed that is not a
+    non-negative integer, or a tuple or list of them, raises ModelConfigError."""
+    try:
+        parts = tuple(map(operator.index, seed if isinstance(seed, (tuple, list)) else (seed,)))
+    except TypeError:
+        parts = None
+    if parts is None or any(s < 0 for s in parts):
+        raise ModelConfigError(
+            f"seed must be a non-negative integer or a tuple or list of them, got {seed!r}"
+        )
+    return parts
 
 
 def replication_rng(seed, rep: int) -> np.random.Generator:
     """Independent stream for one replication of one experiment."""
     ss = np.random.SeedSequence(entropy=list(_seed_parts(seed)), spawn_key=(int(rep),))
     return np.random.Generator(np.random.PCG64(ss))
+
+
+# numpy's SeedSequence hash constants; every word is a uint32
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
+
+
+def _hashmix(value, hc: int, mult: int):
+    """SeedSequence's hashmix of a Python int or a uint32 array; returns the
+    hashed value and the next hash constant."""
+    hc_next = hc * mult & _MASK32
+    value = (value ^ hc) * hc_next & _MASK32
+    return value ^ (value >> 16), hc_next
+
+
+def _mix(x: int, y):
+    r = ((_MIX_L * x & _MASK32) - _MIX_R * y) & _MASK32
+    return r ^ (r >> 16)
+
+
+def _entropy_pool(parts: tuple[int, ...]) -> tuple[list[int], int]:
+    """SeedSequence's pool after mixing in the seed words, before the spawn
+    word, and the hash constant at that point; Python ints throughout."""
+    words = []
+    for part in parts:
+        while True:
+            words.append(part & _MASK32)
+            part >>= 32
+            if not part:
+                break
+    words += [0] * (_POOL - len(words))  # numpy pads the entropy when a spawn key follows
+    pool, hc = [], _INIT_A
+    for w in words[:_POOL]:
+        v, hc = _hashmix(w, hc, _MULT_A)
+        pool.append(v)
+    for i in range(_POOL):
+        for j in range(_POOL):
+            if i != j:
+                v, hc = _hashmix(pool[i], hc, _MULT_A)
+                pool[j] = _mix(pool[j], v)
+    for w in words[_POOL:]:
+        for j in range(_POOL):
+            v, hc = _hashmix(w, hc, _MULT_A)
+            pool[j] = _mix(pool[j], v)
+    return pool, hc
+
+
+def _stream_states(entropy: tuple[list[int], int], lo: int, n: int) -> np.ndarray:
+    """(n, 4) uint64 PCG64 seed words of replications lo .. lo+n-1.
+
+    Row i equals ``SeedSequence(entropy=parts, spawn_key=(lo + i,))
+    .generate_state(4, np.uint64)`` for the parts that ``entropy`` was
+    built from. Needs lo + n <= 2**32, so the spawn key is one word.
+    """
+    pool, hc = entropy
+    rep = np.arange(lo, lo + n, dtype=np.uint32)
+    mixed = []
+    for x in pool:
+        v, hc = _hashmix(rep, hc, _MULT_A)
+        mixed.append(_mix(x, v))
+    words, hc = [], _INIT_B
+    for i in range(2 * _POOL):
+        v, hc = _hashmix(mixed[i % _POOL], hc, _MULT_B)
+        words.append(v)
+    return np.stack(words, axis=1).astype("<u4").view("<u8").astype(np.uint64)
+
+
+class _SeedWords(ISeedSequence):
+    """A seed sequence whose state is four precomputed uint64 words."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 4 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
+            raise ValueError("precomputed seed words serve only generate_state(4, np.uint64)")
+        return self.words
+
+
+def _chunk_generators(entropy: tuple[list[int], int], lo: int, n: int) -> list[np.random.Generator]:
+    """The streams of replications lo .. lo+n-1, equal to ``replication_rng``'s."""
+    return [np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in _stream_states(entropy, lo, n)]
 
 
 def apply_mean_shift(kind: str, c: float, mu: np.ndarray) -> np.ndarray:
@@ -321,6 +420,8 @@ def simulate_run_lengths(
     """
     if reps < 1:
         raise ModelConfigError("reps must be at least 1")
+    if reps > 2**32:
+        raise ModelConfigError(f"reps must be at most 2**32, got {reps}")
     if max_rl < 1:
         raise ModelConfigError("max_rl must be at least 1")
     if cap is None:
@@ -329,15 +430,13 @@ def simulate_run_lengths(
         raise ModelConfigError("either config.h or an explicit cap is required")
     if math.isnan(cap):
         raise ModelConfigError("cap must be a number, got nan")
-    parts = _seed_parts(seed)
+    entropy = _entropy_pool(_seed_parts(seed))
     sim = _CompiledSim(generator, params0, config, max_rl)
     chunks = [(lo, min(lo + CHUNK, reps) - lo) for lo in range(0, reps, CHUNK)]
     workers = min(resolve_threads(threads), len(chunks))
 
     def job(chunk):
-        lo, n = chunk
-        gens = [replication_rng(parts, rep) for rep in range(lo, lo + n)]
-        return _simulate_chunk(sim, gens, cap, max_rl, track_records)
+        return _simulate_chunk(sim, _chunk_generators(entropy, *chunk), cap, max_rl, track_records)
 
     if workers <= 1:
         results = [job(c) for c in chunks]

@@ -289,3 +289,64 @@ def test_kernel_run_lengths_are_pinned(delivery, shift, digest):
         gen = sm.apply_shift(gen, shift)
     sample = simulate_run_lengths(gen, delivery.params, config, reps=3000, max_rl=600, seed=2020, threads=2)
     assert hashlib.sha256(sample.run_lengths.astype(np.int64).tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "parts",
+    [(0,), (2**32 - 1,), (2**40 + 5,), (1, 2, 3, 4, 5, 6), (3, 7, 2)],
+    ids=["zero", "max-word", "two-words", "six-parts", "bench-style"],
+)
+@pytest.mark.parametrize("lo", [0, 2048, 2**32 - 2048])
+def test_bulk_streams_equal_seed_sequence(parts, lo):
+    """A chunk's one-pass seed words and streams equal numpy's SeedSequence."""
+    n = 2048
+    states = mc._stream_states(mc._entropy_pool(parts), lo, n)
+    assert states.shape == (n, 4) and states.dtype == np.uint64
+    for i in (0, 1, 1000, n - 1):
+        ss = np.random.SeedSequence(list(parts), spawn_key=(lo + i,))
+        np.testing.assert_array_equal(states[i], ss.generate_state(4, np.uint64))
+        bulk = np.random.Generator(np.random.PCG64(mc._SeedWords(states[i]))).random(50)
+        np.testing.assert_array_equal(bulk, np.random.Generator(np.random.PCG64(ss)).random(50))
+
+
+@pytest.mark.parametrize("seed", [-1, (1, -2), 1.5, "7", (2, 0.5), None])
+def test_bad_seeds_are_rejected(delivery, chart, seed):
+    gen = sm.in_control_generator(delivery)
+    shift = sm.ShiftSpec("coefficient", ("beta24",), 0.0)
+    grid = sm.StudyGrid(shift=shift, c_values=(1.0,), reps=4, chart=chart)
+    with pytest.raises(sm.ModelConfigError, match="seed"):
+        sm.estimate_arl(gen, delivery.params, chart, reps=4, max_rl=10, seed=seed)
+    with pytest.raises(sm.ModelConfigError, match="seed"):
+        sm.run_arl_study(gen, delivery.params, grid, seed=seed)
+    with pytest.raises(sm.ModelConfigError, match="seed"):
+        sm.calibrate_h(gen, delivery.params, chart, 25.0, reps_schedule=(4,), seed=seed, max_rl=100)
+    with pytest.raises(sm.ModelConfigError, match="seed"):
+        sm.replication_rng(seed, 0)
+
+
+def test_numpy_integer_seeds_equal_python_ints(delivery, chart):
+    gen = sm.in_control_generator(delivery)
+    kw = dict(reps=40, max_rl=60)
+    a = simulate_run_lengths(gen, delivery.params, chart, seed=(np.int64(4), np.uint32(9)), **kw)
+    b = simulate_run_lengths(gen, delivery.params, chart, seed=[4, 9], **kw)
+    np.testing.assert_array_equal(a.run_lengths, b.run_lengths)
+
+
+def test_reps_beyond_one_spawn_word_raise_before_any_work(delivery, chart, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started for an invalid reps")
+
+    for name in ("_CompiledSim", "_entropy_pool", "_chunk_generators", "ThreadPoolExecutor"):
+        monkeypatch.setattr(mc, name, forbidden)
+    gen = sm.in_control_generator(delivery)
+    with pytest.raises(sm.ModelConfigError, match="2\\*\\*32"):
+        simulate_run_lengths(gen, delivery.params, chart, reps=2**32 + 1, max_rl=10, seed=0)
+
+
+def test_seed_words_refuse_other_requests():
+    words = mc._SeedWords(np.zeros(4, dtype=np.uint64))
+    assert words.generate_state(4, np.dtype(np.uint64)) is words.words
+    with pytest.raises(ValueError):
+        words.generate_state(4)
+    with pytest.raises(ValueError):
+        words.generate_state(8, np.uint64)
