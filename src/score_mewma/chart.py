@@ -242,20 +242,35 @@ def run_stream(
 ) -> Iterator[tuple[int, float, bool]]:
     """Score each record at params0, feed the chart, yield (t, t2, signal).
 
-    Records are consumed lazily so the stream can sit on a live feed. Each
-    record's bit row is scored by ``score_rows`` at params0 blocks looked up
-    once; a record laid out for another model, or with a missing outcome,
-    raises ModelConfigError.
+    Records are consumed lazily so the stream can sit on a live feed. A
+    score row depends on the bit row alone, so each stream keeps a memo from
+    a row's bytes to its score row: the first record with those bytes is
+    scored by ``score_rows`` at params0 blocks looked up once, and later
+    ones reuse the row, so the floats are the same either way. The memo
+    holds at most ``2 ** mc._TYPE_LIMIT`` rows; once it is full, new rows
+    are scored but not kept. A record laid out for another model raises
+    ModelConfigError, and so does one with a missing outcome; that check
+    runs on memo misses only, as a hit has the bytes of a row that passed.
     """
+    from . import mc  # mc imports this module
+
     designs = node_designs(spec)
     thetas = [params0.values[d.param_indices] for d in designs]
     if isinstance(records, PatientData):
         records = records.records()
+    memo: dict[bytes, np.ndarray] = {}
+    limit = 2**mc._TYPE_LIMIT
     state = init_state(config)
     for record in records:
-        bits = record.complete_bits(spec)[None, :]
-        means = [expit(node_eta(d, theta, bits)) for d, theta in zip(designs, thetas)]
-        state, t2, signal = update(state, score_rows(designs, bits, means)[0])
+        key = record.bits_for(spec).tobytes()
+        s = memo.get(key)
+        if s is None:
+            bits = record.complete_bits(spec)[None, :]
+            means = [expit(node_eta(d, theta, bits)) for d, theta in zip(designs, thetas)]
+            s = score_rows(designs, bits, means)[0]
+            if len(memo) < limit:
+                memo[key] = s
+        state, t2, signal = update(state, s)
         yield state.t, t2, signal
         if signal and stop_at_signal:
             return

@@ -1,10 +1,11 @@
 """Command line interface: fit, calibrate, study, monitor, simulate.
 
 Exit codes are stable: 0 ok, 2 input or parse problem (including a
-numerically singular chart covariance), 3 fit failure (non-convergence or
-complete separation), 4 calibration failure, 5 invalid shift. Every output
-file embeds a run manifest whose argv re-runs the command bit-identically
-(payload bytes).
+numerically singular chart covariance and a file that cannot be read or
+written), 3 fit failure (non-convergence or complete separation), 4
+calibration failure, 5 invalid shift, 141 the reader of standard output
+closed it. Every output file embeds a run manifest whose argv re-runs the
+command bit-identically (payload bytes).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import math
+import os
 import sys
 
 import numpy as np
@@ -40,6 +42,8 @@ from .shifts import (
 )
 from .version import __version__
 
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a process that signal ends
+
 
 def _err(msg: str) -> None:
     print(f"score-mewma: {msg}", file=sys.stderr)
@@ -60,6 +64,13 @@ def _positive_finite(text: str) -> float:
     value = float(text)
     if not (value > 0.0 and math.isfinite(value)):
         raise argparse.ArgumentTypeError("must be positive and finite")
+    return value
+
+
+def _smoothing(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError("smoothing weight must lie in (0, 1]")
     return value
 
 
@@ -245,7 +256,7 @@ def cmd_simulate(args) -> int:
 
 
 def _add_chart_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--r", type=float, default=0.1, help="EWMA smoothing weight (default 0.1)")
+    p.add_argument("--r", type=_smoothing, default=0.1, help="EWMA smoothing weight (default 0.1)")
     p.add_argument("--warmup", type=_int_at_least(1), default=1, help="patients before signals count")
     p.add_argument(
         "--covariance-mode",
@@ -327,6 +338,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _stdout_to_devnull() -> None:
+    """Point standard output's file descriptor at os.devnull, so that the
+    interpreter's flush at exit meets no closed pipe (the recipe in the
+    ``signal`` module's documentation). A stream without a descriptor is left
+    as it is."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -343,6 +368,12 @@ def main(argv=None) -> int:
         return 2
     except FileNotFoundError as exc:
         _err(f"file not found: {exc.filename}")
+        return 2
+    except BrokenPipeError:
+        _stdout_to_devnull()
+        return EXIT_BROKEN_PIPE
+    except OSError as exc:
+        _err(f"{exc.filename}: {exc.strerror}" if exc.filename is not None else str(exc))
         return 2
     except FitError as exc:
         _err(str(exc))

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from scipy.special import expit
 
 import score_mewma as sm
+from score_mewma import chart, mc
 from score_mewma.chart import ASYMPTOTIC, EXACT_RECURSIVE
 from score_mewma.errors import ModelConfigError, SingularMatrixError
+from score_mewma.likelihood import score_rows
+from score_mewma.model import MISSING, node_designs, node_eta, type_bits
 
 
 def _config(p=2, r=0.1, h=None, **kw):
@@ -254,3 +258,77 @@ def test_run_stream_rejects_rows_laid_out_for_another_model(delivery, nx):
     record = sm.PatientRecord(x=np.zeros(nx), z=np.zeros(2), y=np.zeros(4))
     with pytest.raises(ModelConfigError, match=rf"\({nx}, 2, 4\).*\(2, 2, 4\)"):
         list(sm.run_stream(delivery.spec, delivery.params, config, [record]))
+
+
+def _one_row_scores(delivery, bits):
+    """The score row of one bit row by ``score_rows``, as run_stream scores a memo miss."""
+    designs = node_designs(delivery.spec)
+    row = np.asarray(bits, dtype=float)[None, :]
+    means = [expit(node_eta(d, delivery.params.values[d.param_indices], row)) for d in designs]
+    return score_rows(designs, row, means)[0]
+
+
+def _streamed_scores(monkeypatch, delivery, config, records):
+    """The score rows run_stream hands to ``update``, and its trace."""
+    seen = []
+
+    def recording_update(state, s_t):
+        seen.append(s_t)
+        return sm.update(state, s_t)
+
+    monkeypatch.setattr(chart, "update", recording_update)
+    trace = list(sm.run_stream(delivery.spec, delivery.params, config, records))
+    return seen, trace
+
+
+def _delivery_config(delivery):
+    sigma = sm.expected_score_covariance(delivery.spec, delivery.params, delivery.covariates).values
+    return sm.ChartConfig(sigma_s=sigma, r=0.1, h=50.0)
+
+
+def test_run_stream_memo_rows_equal_one_row_scores_for_every_type(delivery, monkeypatch):
+    types = type_bits(sum(delivery.spec.widths))
+    records = [sm.PatientRecord.from_bits(delivery.spec, b) for b in np.concatenate([types, types[::-1]])]
+    seen, _ = _streamed_scores(monkeypatch, delivery, _delivery_config(delivery), records)
+    assert len(seen) == 2 * len(types) == 512
+    for record, s in zip(records, seen):  # the second pass reads every row from the memo
+        assert s.tobytes() == _one_row_scores(delivery, record.bits).tobytes()
+
+
+def test_run_stream_scores_fractional_and_negative_zero_bits_as_one_rows(delivery, monkeypatch):
+    zero = np.array([0.0, 1.0, 1.0, 0.0, 1.0, 0.0, 1.0, 1.0])
+    fractional, negative_zero = zero.copy(), zero.copy()
+    fractional[0] = 0.5
+    negative_zero[0] = -0.0
+    rows = [zero, fractional, negative_zero, zero, negative_zero, fractional]
+    records = [sm.PatientRecord.from_bits(delivery.spec, b) for b in rows]
+    config = _delivery_config(delivery)
+    seen, trace = _streamed_scores(monkeypatch, delivery, config, records)
+    # -0.0 flips the sign of the zero score entries of its column, so it is not the 0.0 row
+    assert seen[2].tobytes() != seen[0].tobytes()
+    state, expected = sm.init_state(config), []
+    for row, s in zip(rows, seen):
+        one = _one_row_scores(delivery, row)
+        assert s.tobytes() == one.tobytes()
+        state, t2, signal = sm.update(state, one)
+        expected.append((state.t, t2, signal))
+    assert trace == expected
+
+
+def test_run_stream_past_the_memo_bound_gives_the_same_trace(delivery, monkeypatch):
+    config = _delivery_config(delivery)
+    data = sm.sample_patients(sm.in_control_generator(delivery), 400, 11)
+    full = list(sm.run_stream(delivery.spec, delivery.params, config, data))
+    monkeypatch.setattr(mc, "_TYPE_LIMIT", 1)  # a memo of 2 rows
+    assert list(sm.run_stream(delivery.spec, delivery.params, config, data)) == full
+
+
+def test_run_stream_rejects_a_missing_outcome_after_memo_hits(delivery):
+    complete = np.zeros(8)
+    missing = complete.copy()
+    missing[-1] = MISSING
+    records = [sm.PatientRecord.from_bits(delivery.spec, b) for b in (complete, complete, missing)]
+    stream = sm.run_stream(delivery.spec, delivery.params, _delivery_config(delivery), records)
+    assert len([next(stream), next(stream)]) == 2
+    with pytest.raises(ModelConfigError, match="missing outcomes"):
+        next(stream)

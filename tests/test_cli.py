@@ -1,4 +1,6 @@
 import gc
+import hashlib
+import io
 import json
 import os
 import subprocess
@@ -12,7 +14,7 @@ import pytest
 
 import score_mewma as sm
 from score_mewma import io as fio
-from score_mewma.cli import main, rerun_from_manifest
+from score_mewma.cli import EXIT_BROKEN_PIPE, main, rerun_from_manifest
 
 
 @pytest.fixture(scope="module")
@@ -455,3 +457,89 @@ def test_negative_threads_and_few_sigma_samples_rejected_at_parse_time(work, tmp
     assert not out.exists()
     err = capsys.readouterr().err
     assert "must be at least 0" in err and "must be at least 100000" in err
+
+
+def _rounded_trace_digest(path):
+    """SHA-256 of a monitor trace body with t2 to 10 significant digits."""
+    lines = fio.payload_bytes(str(path)).decode().splitlines()
+    rows = [lines[0]]
+    for line in lines[1:]:
+        t, t2, signal, post = line.split(",")
+        rows.append(f"{t},{float(t2):.10g},{signal},{post}")
+    return hashlib.sha256("\n".join(rows).encode()).hexdigest()
+
+
+def test_monitor_trace_is_pinned(work, tmp_path):
+    """A fixed simulated CSV's monitor trace: a change to parsing, scoring,
+    smoothing or T2 fails here. t2 is compared to 10 significant digits, as
+    its last bits follow the BLAS kernel's summation order: OpenBLAS's
+    SkylakeX, Haswell, Sandybridge, Nehalem and Prescott kernels give five
+    different trace bytes, up to 2e-15 apart relative, and this one digest."""
+    root, model = work
+    data_csv, out = tmp_path / "pinned.csv", tmp_path / "pinned_trace.csv"
+    assert run("simulate", model, model, "--n", 300, "--seed", 2020, "-o", data_csv) == 0
+    assert run("monitor", model, model, data_csv, "--h", 12, "--r", 0.05, "-o", out) == 0
+    signals = [ln.split(",")[2] for ln in fio.payload_bytes(str(out)).decode().splitlines()[1:]]
+    assert 0 < signals.count("1") < len(signals) == 300
+    assert _rounded_trace_digest(out) == "0394b69455f02c744f4b520dc4211576e71f9fd04934a15e405b28709792526d"
+
+
+class _ClosedPipe(io.StringIO):
+    """A standard output whose reader has gone."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_monitor_to_a_closed_pipe_exits_141_quietly(work, tmp_path, monkeypatch, capsys):
+    root, model = work
+    data_csv = tmp_path / "sim.csv"
+    assert run("simulate", model, model, "--n", 5, "-o", data_csv) == 0
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert run("monitor", model, model, data_csv, "--h", 10, "-o", "-") == EXIT_BROKEN_PIPE == 141
+    assert capsys.readouterr().err == ""
+
+
+def test_monitor_piped_into_a_reader_that_stops_early(work, tmp_path):
+    root, model = work
+    cols = fio.patient_columns(sm.default_delivery_model().spec)
+    data_csv = tmp_path / "long.csv"
+    # far more trace than a pipe buffers, so the monitor is still writing when the reader stops
+    data_csv.write_text(",".join(cols) + "\n" + (",".join(["0"] * len(cols)) + "\n") * 20_000)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "score_mewma", "monitor", model, model, str(data_csv), "--h", "1e9", "-o", "-"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+    try:
+        head = [proc.stdout.readline() for _ in range(3)]
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 141
+        assert head[1] == "t,t2,signal,post_signal\n" and head[2].startswith("1,")
+        assert proc.stderr.read() == ""
+    finally:
+        proc.kill()
+        proc.stderr.close()
+
+
+def test_directory_as_input_or_output_exits_2(work, tmp_path, capsys):
+    root, model = work
+    data_csv = tmp_path / "sim.csv"
+    assert run("simulate", model, model, "--n", 5, "-o", data_csv) == 0
+    assert run("monitor", model, model, tmp_path, "--h", 10, "-o", tmp_path / "trace.csv") == 2
+    assert run("fit", model, tmp_path, "-o", tmp_path / "fit.json") == 2
+    assert run("monitor", model, model, data_csv, "--h", 10, "-o", tmp_path) == 2
+    assert run("simulate", model, model, "--n", 5, "-o", tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.count(f"{tmp_path}: Is a directory") == 4
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("r", ["0", "1.5", "nan", "-0.1"])
+def test_smoothing_outside_unit_interval_rejected_at_parse_time(work, tmp_path, r, capsys):
+    root, model = work
+    out = tmp_path / "out.csv"
+    assert run("monitor", model, model, "-", "--h", 10, "--r", r, "-o", out) == 2
+    assert run("calibrate", model, model, "--target-arl", 20, "--r", r, "-o", out) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("argument --r: smoothing weight must lie in (0, 1]") == 2
