@@ -350,3 +350,51 @@ def test_seed_words_refuse_other_requests():
         words.generate_state(4)
     with pytest.raises(ValueError):
         words.generate_state(8, np.uint64)
+
+
+def _acceptance_config(delivery, **kw):
+    sigma = sm.expected_score_covariance(delivery.spec, delivery.params, delivery.covariates).values
+    return sm.ChartConfig(sigma_s=sigma, covariance_mode="exact-recursive", **dict(_ACCEPTANCE_CHART, **kw))
+
+
+def _rows_digest(rows):
+    return hashlib.sha256(b"".join(row.arl.run_lengths.astype(np.int64).tobytes() for row in rows)).hexdigest()
+
+
+def test_study_run_lengths_are_pinned(delivery):
+    """SHA-256 of every row's int64 run lengths in a shift grid and a pair
+    study; rows reach max_rl 1000, so some are censored."""
+    chart = _acceptance_config(delivery)
+    gen = sm.in_control_generator(delivery)
+    grid = sm.StudyGrid(
+        shift=sm.ShiftSpec("mean-additive", ("Y3",), 0.0), c_values=(0.0, 0.25, 1.0), reps=500, chart=chart,
+        max_rl=1000,
+    )
+    rows = sm.run_arl_study(gen, delivery.params, grid, seed=7, threads=2)
+    assert _rows_digest(rows) == "f98c41a79aaa633a3bc1ab318f4244d7a11128fa27010bb2e34d9719955ea269"
+    rows = sm.run_pair_study(
+        gen, delivery.params, [("beta23", "beta24")], (0.0, 0.5), reps=300, chart=chart, seed=8, max_rl=1000,
+        threads=2,
+    )
+    assert _rows_digest(rows) == "9b0d966ca1d2b258a8902babd2efba038c5f4babdf21230334be4223b230266a"
+
+
+def test_calibration_is_pinned(delivery):
+    chart = _acceptance_config(delivery)
+    gen = sm.in_control_generator(delivery)
+    cal = sm.calibrate_h(
+        gen, delivery.params, chart, 100.0, rel_tolerance=0.05, reps_schedule=(200, 800), seed=3, max_rl=2000
+    )
+    assert repr(cal.h) == "30.32569248320675"
+    assert repr(cal.bracket) == "(30.32155358700323, 30.329831379410276)"
+    assert repr(cal.iterations) == "24"
+
+
+def test_phase1_run_lengths_are_pinned(delivery):
+    chart = _acceptance_config(delivery)
+    gen = sm.in_control_generator(delivery)
+    run_lengths = [
+        int(sm.estimate_arl(gen, delivery.params, chart, reps=1, max_rl=4000, seed=s, phase1_size=2000).run_lengths[0])
+        for s in range(10)
+    ]
+    assert run_lengths == [223, 430, 258, 26, 6, 488, 187, 64, 247, 1]
