@@ -211,7 +211,14 @@ class T2Evaluator:
         return self.factor(t) * self._matrices[self._index(t)]
 
     def t2(self, w: np.ndarray, t: int, factor) -> np.ndarray:
-        return ((w @ self.inverse(t)) * w).sum(axis=-1) / factor
+        """T2 of a state or a (lanes, p) matrix of states at step t, or of a
+        (steps, lanes, p) block of them at steps t, t + 1, ..., with factor
+        shaped (steps, 1); each step's product is one (lanes, p) @ (p, p)."""
+        if w.ndim < 3 or t >= self._cap:
+            a = self.inverse(t)
+        else:
+            a = np.stack([self.inverse(t + j) for j in range(w.shape[0])])
+        return ((w @ a) * w).sum(axis=-1) / factor
 
 
 def update(state: MewmaState, s_t: np.ndarray) -> tuple[MewmaState, float, bool]:

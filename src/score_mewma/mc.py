@@ -8,11 +8,15 @@ identical either way. A chunk derives the seed words of all its streams in
 one numpy pass that reproduces ``SeedSequence``'s hashing, so its streams
 equal those of ``replication_rng``.
 
-Inside a chunk every active replication is one lane of a (lanes, p) array
-that takes one patient step at a time. Lanes read their uniforms from a
-block of BUF patients per replication, drawn at each refill; a row map
-picks the active lanes' rows out of that block, so a resolved lane drops
-out without copying the block. When a patient has at most ``_TYPE_LIMIT``
+Inside a chunk every active replication is one lane of a (lanes, p) array,
+and each loop iteration advances every lane a block of STEP patients:
+scoring, the EWMA and T2 each take the whole block, a lane ends at its
+first crossing in it, and the steps computed past that are discarded.
+Lanes read their uniforms from blocks drawn per replication at each
+refill, of 16, 32, 64, 128 and then BUF patients, so the many short runs
+draw little; patient t still reads uniforms [(t-1)k, tk) of its stream.
+A row map picks the active lanes' rows out of the block, so a resolved
+lane drops out without copying it. When a patient has at most ``_TYPE_LIMIT``
 bits, a step reads its scores from tables over the 2^k patient types:
 each node's generating mean and the score row of every type. Above the
 limit each patient is generated and scored on its own. Both paths do the
@@ -37,7 +41,8 @@ from .likelihood import score_rows
 from .model import CovariateModel, DagModelSpec, ParamVector, PatientData, node_designs, node_eta, type_bits
 
 CHUNK = 2048  # replications per work unit; fixed so thread count cannot matter
-BUF = 256  # patients drawn per RNG call, amortizes generator overhead
+BUF = 256  # most patients drawn per RNG call, amortizes generator overhead
+STEP = 16  # patients a lane advances per kernel iteration; divides every uniform block
 _TYPE_LIMIT = 16  # most bits per patient for which the kernel scores from type tables
 
 ENV_THREADS = "SCORE_MEWMA_THREADS"
@@ -280,14 +285,14 @@ class _CompiledSim:
             self.cov_weights = 1 << np.arange(self.sample.p_cov.shape[0])
 
     def scores(self, u: np.ndarray) -> np.ndarray:
-        """(n, p) scores of the patients drawn from an (n, k) block of uniforms."""
+        """(..., p) scores of the patients drawn from a (..., k) block of uniforms."""
         if self.table is None:
-            bits, means = self.sample(u)
-            return score_rows(self.sample.designs, bits, means)
+            bits, means = self.sample(u.reshape(-1, self.k))
+            return score_rows(self.sample.designs, bits, means).reshape(*u.shape[:-1], -1)
         p_cov = self.sample.p_cov
-        typ = (u[:, : p_cov.shape[0]] < p_cov) @ self.cov_weights
+        typ = (u[..., : p_cov.shape[0]] < p_cov) @ self.cov_weights
         for design, mu in zip(self.sample.designs, self.type_means):
-            typ += (u[:, design.out_col] < mu[typ]) << design.out_col
+            typ += (u[..., design.out_col] < mu[typ]) << design.out_col
         return self.table[typ]
 
 
@@ -344,45 +349,63 @@ def _simulate_chunk(
 ):
     """Run one replication per generator to its first T2 above cap or max_rl.
 
-    Each replication draws its patients BUF at a time from its own generator
-    into one (lanes, BUF, k) block per refill. ``rows`` maps the active lanes
-    to their rows of that block; it stays None, and steps read the block
-    whole, until a lane resolves. A resolution shrinks only ``rows`` and the
-    per-lane state; the next refill draws a block for the active lanes alone.
-    Scores come from ``sim.scores``, which reads the type tables when the
-    patient has at most ``_TYPE_LIMIT`` bits.
+    Every active replication is a lane, and each loop iteration advances
+    every lane STEP patients: ``sim.scores`` scores the block's STEP x lanes
+    patients in one call, the EWMA runs through the block one step at a
+    time into a (STEP, lanes, p) block, and the evaluator takes the block's
+    T2 in one call. A lane ends at its first T2 above cap in the block, and
+    the steps computed past it are discarded; under ``track_records`` its
+    record highs in the block come from a running maximum cut off there.
+
+    Each replication draws its patients from its own generator into one
+    (lanes, rows, k) block of uniforms per refill, of 16, 32, 64, 128 and
+    then BUF rows, so a short run draws few. STEP divides every block, so
+    no block of steps straddles a refill. ``rows`` maps the active lanes to
+    their rows of the block; it stays None, and steps read the block whole,
+    until a lane resolves. A resolution shrinks only ``rows`` and the
+    per-lane state; the next refill draws for the active lanes alone.
     """
     n_reps = len(gens)
     active = np.arange(n_reps)
-    w = np.zeros((n_reps, sim.r_vec.shape[0]))
+    r, q = sim.r_vec, 1.0 - sim.r_vec
+    w = np.zeros((n_reps, r.shape[0]))
     rec = np.full(n_reps, -np.inf)
     resolved_t = np.zeros(n_reps, dtype=np.int64)
     st_t = [[] for _ in range(n_reps)] if track_records else None
     st_v = [[] for _ in range(n_reps)] if track_records else None
     buf = rows = None
+    t0 = start = end = 0  # patients done; first and end patient of the uniform block
+    size = STEP
 
-    for t in range(1, max_rl + 1):
-        off = (t - 1) % BUF
-        if off == 0:
-            buf = np.empty((active.size, BUF, sim.k))
+    while t0 < max_rl:
+        if t0 == end:
+            buf = np.empty((active.size, min(size, max_rl - t0), sim.k))
             for i, a in enumerate(active):
-                buf[i] = gens[a].random((BUF, sim.k))
+                gens[a].random(out=buf[i])
             rows = None
-        s = sim.scores(buf[:, off] if rows is None else buf[rows, off])
-        w = sim.r_vec * s + (1.0 - sim.r_vec) * w
-        t2 = sim.evaluator.t2(w, t, sim.factors[t - 1])
-        if t < sim.warmup:
-            continue
+            start, end, size = t0, t0 + buf.shape[1], min(2 * size, BUF)
+        n = min(STEP, end - t0)
+        block = np.s_[t0 - start : t0 - start + n]
+        s = sim.scores((buf[:, block] if rows is None else buf[rows, block]).transpose(1, 0, 2))
+        ws = np.multiply(r, s, out=s)  # then ws[j] = r * s[j] + (1 - r) * w, float for float
+        for j in range(n):
+            ws[j] += q * w
+            w = ws[j]
+        t2 = sim.evaluator.t2(ws, t0 + 1, sim.factors[t0 : t0 + n, None])
+        t2[: max(sim.warmup - 1 - t0, 0)] = -np.inf  # no record or signal before the warmup
+        over = t2 > cap
+        done = over.any(axis=0)
+        first = np.where(done, over.argmax(axis=0), n)
         if track_records:
-            hit = t2 > rec
-            if hit.any():
-                for i, val in zip(active[hit], t2[hit]):
-                    st_t[i].append(t)
-                    st_v[i].append(val)
-                rec[hit] = t2[hit]
-        done = t2 > cap
+            t2[np.arange(n)[:, None] > first] = -np.inf
+            best = np.maximum.accumulate(np.concatenate([rec[None], t2]), axis=0)
+            for lane, j in zip(*np.nonzero((t2 > best[:-1]).T)):
+                st_t[active[lane]].append(t0 + 1 + j)
+                st_v[active[lane]].append(t2[j, lane])
+            rec = best[-1]
+        t0 += n
         if done.any():
-            resolved_t[active[done]] = t
+            resolved_t[active[done]] = t0 - n + 1 + first[done]
             keep = ~done
             active = active[keep]
             w = w[keep]

@@ -1,4 +1,9 @@
 import hashlib
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -291,6 +296,32 @@ def test_kernel_run_lengths_are_pinned(delivery, shift, digest):
     assert hashlib.sha256(sample.run_lengths.astype(np.int64).tobytes()).hexdigest() == digest
 
 
+def _built_on_openblas() -> bool:
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:  # numpy before 1.26 only prints its configuration
+        return False
+    return "openblas" in str(blas.get("name", "")).lower()
+
+
+def test_pinned_run_lengths_hold_under_another_blas_kernel():
+    """T2 of a block of steps is one BLAS product per step, and a row's
+    floats there depend on the kernel's blocking; the pinned run lengths
+    must not. Reruns the pinned test under OpenBLAS's Haswell kernel, set
+    for the child process only."""
+    if not _built_on_openblas():
+        pytest.skip("numpy is not built on OpenBLAS")
+    root = Path(__file__).resolve().parents[1]
+    test = f"{Path(__file__).resolve()}::test_kernel_run_lengths_are_pinned"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", test],
+        cwd=root, env=dict(os.environ, OPENBLAS_CORETYPE="Haswell"), capture_output=True, text=True,
+    )
+    if proc.returncode == -signal.SIGILL:
+        pytest.skip("this CPU cannot run OpenBLAS's Haswell kernel")
+    assert proc.returncode == 0 and "2 passed" in proc.stdout, proc.stdout + proc.stderr
+
+
 @pytest.mark.parametrize(
     "parts",
     [(0,), (2**32 - 1,), (2**40 + 5,), (1, 2, 3, 4, 5, 6), (3, 7, 2)],
@@ -398,3 +429,48 @@ def test_phase1_run_lengths_are_pinned(delivery):
         for s in range(10)
     ]
     assert run_lengths == [223, 430, 258, 26, 6, 488, 187, 64, 247, 1]
+
+
+@pytest.mark.parametrize(
+    "chart_kw, track, seed",
+    [
+        (dict(r=0.02, h=38.0), True, 34),
+        (dict(r=0.02, h=38.0, warmup=21), False, 34),
+        (dict(r=0.02, h=38.0, warmup=21), True, 34),
+        (dict(_UNEQUAL_R_CHART, h=44.0), True, 32),
+    ],
+    ids=["tracked", "warmup-21", "warmup-21-tracked", "unequal-r"],
+)
+def test_kernel_matches_reference_across_uniform_blocks(delivery, chart_kw, track, seed):
+    """Replications that run past every uniform-block boundary (16 + 32 + 64
+    + 128 + 256 = 496 patients) into a last block cut short at max_rl 503
+    give the run lengths and staircases of run_stream over the same patients."""
+    sigma = sm.expected_score_covariance(delivery.spec, delivery.params, delivery.covariates).values
+    config = sm.ChartConfig(sigma_s=sigma, covariance_mode="exact-recursive", **chart_kw)
+    gen = sm.in_control_generator(delivery)
+    reps, max_rl = 24, 503
+    sample = simulate_run_lengths(
+        gen, delivery.params, config, reps=reps, max_rl=max_rl, seed=seed, track_records=track
+    )
+    rl, resolved = sample.run_lengths, sample.resolved
+    assert (~resolved).any() and np.all(rl[~resolved] == max_rl)
+    assert (resolved & (rl > 496)).any()
+    # crossings strictly inside a block of STEP patient steps
+    assert (resolved & ~np.isin((rl - 1) % mc.STEP, (0, mc.STEP - 1))).any()
+    if config.warmup > 1:
+        assert rl.min() == config.warmup
+    for rep in range(reps):
+        data = sm.sample_patients(gen, max_rl, sm.replication_rng(seed, rep))
+        trace = list(sm.run_stream(delivery.spec, delivery.params, config, data, stop_at_signal=True))
+        signals = [t for t, _, sig in trace if sig]
+        assert rl[rep] == (signals[0] if signals else max_rl)
+        assert resolved[rep] == bool(signals)
+        if track:
+            best, refs = -np.inf, []
+            for t, t2, _ in trace[config.warmup - 1 :]:
+                if t2 > best:
+                    refs.append((t, t2))
+                    best = t2
+            times, values = sample.staircases[rep]
+            np.testing.assert_array_equal(times, [t for t, _ in refs])
+            np.testing.assert_allclose(values, [v for _, v in refs], rtol=1e-9)
