@@ -81,6 +81,10 @@ def _target_arl(text: str) -> float:
     return value
 
 
+for _parse in (_positive_finite, _smoothing, _target_arl):
+    _parse.__name__ = "float"  # argparse names the type in "invalid float value"
+
+
 def _chart(model, params, args, h):
     """The chart from the command's chart options, and those options' echo."""
     mc = args.sigma_mode == "mc"

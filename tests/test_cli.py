@@ -543,3 +543,23 @@ def test_smoothing_outside_unit_interval_rejected_at_parse_time(work, tmp_path, 
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.count("argument --r: smoothing weight must lie in (0, 1]") == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["calibrate", "--target-arl", "abc"],
+        ["calibrate", "--target-arl", "20", "--rel-tolerance", "abc"],
+        ["calibrate", "--target-arl", "20", "--r", "abc"],
+        ["study", "--shift", "coefficient", "--targets", "beta24", "--c-grid", "1.0", "--h", "abc"],
+        ["monitor", "patients.csv", "--h", "abc"],
+    ],
+    ids=["target-arl", "rel-tolerance", "r", "study-h", "monitor-h"],
+)
+def test_float_options_name_the_float_type(work, tmp_path, argv, capsys):
+    root, model = work
+    command, *options = argv
+    assert run(command, model, model, *options, "-o", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert "invalid float value: 'abc'" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
