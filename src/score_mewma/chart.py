@@ -149,7 +149,7 @@ def _check_conditioning(mat: np.ndarray, coord_names) -> None:
 class T2Evaluator:
     """Owner of Sigma_W,t = f_t M_t for one chart configuration, and of T2_t =
     W_t' Sigma_W,t^{-1} W_t, evaluated as ``((w @ inverse(t)) * w).sum(-1) / factor(t)``
-    for a state w or a matrix of them.
+    for a state w, a matrix of them or a block of them over consecutive steps.
 
     With equal smoothing M_t = Sigma_S, and one conditioning check covers
     every t, since cond(f_t Sigma_S) = cond(Sigma_S). With unequal smoothing
@@ -214,7 +214,7 @@ class T2Evaluator:
         """T2 of a state or a (lanes, p) matrix of states at step t, or of a
         (steps, lanes, p) block of them at steps t, t + 1, ..., with factor
         shaped (steps, 1); each step's product is one (lanes, p) @ (p, p)."""
-        if w.ndim < 3 or t >= self._cap:
+        if t >= self._cap or w.ndim < 3:
             a = self.inverse(t)
         else:
             a = np.stack([self.inverse(t + j) for j in range(w.shape[0])])

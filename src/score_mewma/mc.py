@@ -359,8 +359,8 @@ def _simulate_chunk(
 
     Each replication draws its patients from its own generator into one
     (lanes, rows, k) block of uniforms per refill, of 16, 32, 64, 128 and
-    then BUF rows, so a short run draws few. STEP divides every block, so
-    no block of steps straddles a refill. ``rows`` maps the active lanes to
+    then BUF rows, cut at max_rl, so a short run draws few. STEP divides
+    every block but a cut one, so no block of steps straddles a refill. ``rows`` maps the active lanes to
     their rows of the block; it stays None, and steps read the block whole,
     until a lane resolves. A resolution shrinks only ``rows`` and the
     per-lane state; the next refill draws for the active lanes alone.
@@ -403,9 +403,8 @@ def _simulate_chunk(
                 st_t[active[lane]].append(t0 + 1 + j)
                 st_v[active[lane]].append(t2[j, lane])
             rec = best[-1]
-        t0 += n
         if done.any():
-            resolved_t[active[done]] = t0 - n + 1 + first[done]
+            resolved_t[active[done]] = t0 + 1 + first[done]
             keep = ~done
             active = active[keep]
             w = w[keep]
@@ -413,6 +412,7 @@ def _simulate_chunk(
             rows = np.flatnonzero(keep) if rows is None else rows[keep]
             if active.size == 0:
                 break
+        t0 += n
 
     run_lengths = np.where(resolved_t > 0, resolved_t, max_rl)
     resolved = resolved_t > 0
