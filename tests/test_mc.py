@@ -431,6 +431,35 @@ def test_phase1_run_lengths_are_pinned(delivery):
     assert run_lengths == [223, 430, 258, 26, 6, 488, 187, 64, 247, 1]
 
 
+def _sha256(*arrays) -> str:
+    return hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)).hexdigest()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_tracked_records_are_pinned(delivery, threads):
+    """A tracked sample over three chunks: SHA-256 of each replication's
+    record count and times, and of the run lengths and flags at three
+    limits; record values to 10 significant digits, since a value's last
+    bits follow the BLAS kernel."""
+    chart = _acceptance_config(delivery)
+    gen = sm.in_control_generator(delivery)
+    sample = simulate_run_lengths(
+        gen, delivery.params, chart, reps=2 * mc.CHUNK + 3, max_rl=300, seed=44, cap=36.0, threads=threads,
+        track_records=True,
+    )
+    stairs = sample.staircases
+    counts = np.array([len(t) for t, _ in stairs], dtype=np.int64)
+    times = np.concatenate([t for t, _ in stairs]).astype(np.int64)
+    assert _sha256(counts, times) == "7d82c9a4b1c986262d56febf26ad02adfe433a1822156cf90b0afc3baa7c2132"
+    limits = [sample.at_limit(h) for h in (20.0, 30.0, 36.0)]
+    rls = [rl.astype(np.int64) for rl, _ in limits]
+    assert _sha256(*rls, *(res for _, res in limits)) == (
+        "f72074eb30be038510caee421a9dee00d4a2390f83968985f4685760d6046e45"
+    )
+    values = ",".join(f"{v:.9e}" for _, vs in stairs for v in vs).encode()
+    assert hashlib.sha256(values).hexdigest() == "529cda3a90b557e2df4028c77a9ce3478cc22c4bb1cba6c0fa957b2d14ca1ead"
+
+
 @pytest.mark.parametrize(
     "chart_kw, track, seed",
     [
