@@ -1,7 +1,7 @@
 """In-control ARL estimation and control-limit calibration.
 
-calibrate_h simulates each stage of its replication schedule with every
-replication's T2 record staircase (prefix maxima), so one sample gives the
+calibrate_h simulates each stage of its replication schedule with the T2
+record highs (prefix maxima) of every replication, so one sample gives the
 run lengths at any limit up to its cap and its ARL is exactly nondecreasing
 in the limit: a stage whose ARL at the cap exceeds the target brackets the
 target by itself, and bisection needs no further pass.
@@ -199,7 +199,7 @@ def calibrate_h(
                 raise CalibrationError(f"bracketing failed: no h below {H_MAX:g} reaches ARL {target_arl}")
         if sample.at_limit(0.0)[0].mean() >= target_arl:
             raise CalibrationError("bracketing failed: ARL above target for arbitrarily small h")
-        # ARL(lo) < target <= ARL(hi), both read from this stage's staircases
+        # ARL(lo) < target <= ARL(hi), both read from this stage's record highs
         lo, hi = 0.0, cap
         while hi - lo > 5e-4 * hi:
             mid = 0.5 * (lo + hi)

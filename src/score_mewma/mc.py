@@ -29,7 +29,7 @@ import math
 import operator
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -302,40 +302,42 @@ class RunLengthSample:
 
     run_lengths holds first signal times at the simulated cap; unresolved
     replications are censored at max_rl. When record tracking was on,
-    staircases[i] is the (times, values) prefix-maximum path of T2 for
-    replication i, valid for evaluating run lengths at any limit <= cap.
+    ``records`` holds the (replication, time, value) arrays of every record
+    high (prefix maximum) of T2, sorted by replication and, within one, by
+    time; they give the run lengths at any limit <= cap.
     """
 
     run_lengths: np.ndarray
     resolved: np.ndarray
     cap: float
     max_rl: int
-    staircases: list[tuple[np.ndarray, np.ndarray]] | None = None
-    _flat: tuple[np.ndarray, ...] | None = field(default=None, init=False, repr=False, compare=False)
+    records: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+
+    @property
+    def staircases(self) -> list[tuple[np.ndarray, np.ndarray]] | None:
+        """Per replication, the (times, values) of its record highs."""
+        if self.records is None:
+            return None
+        rep, times, values = self.records
+        cuts = np.cumsum(np.bincount(rep, minlength=self.run_lengths.size))[:-1]
+        return list(zip(np.split(times, cuts), np.split(values, cuts)))
 
     def at_limit(self, h: float) -> tuple[np.ndarray, np.ndarray]:
         """Run lengths and resolution flags for a limit h <= cap."""
-        if self.staircases is None:
+        if self.records is None:
             raise ModelConfigError("record tracking was disabled for this sample")
         if math.isnan(h):
             raise ModelConfigError("the limit must be a number, got nan")
         if not h <= self.cap:
             raise ModelConfigError(f"limit {h} exceeds the simulated cap {self.cap}")
-        if self._flat is None:
-            lengths = np.array([len(v) for _, v in self.staircases], dtype=np.int64)
-            ends = np.cumsum(lengths)
-            filled = lengths > 0
-            times = np.concatenate([t for t, _ in self.staircases] + [np.zeros(0, dtype=np.int64)])
-            values = np.concatenate([v for _, v in self.staircases] + [np.zeros(0)])
-            self._flat = (filled, (ends - lengths)[filled], ends, times, values)
-        filled, starts, ends, times, values = self._flat
-        # a staircase rises strictly, so its values above h end it: the first
-        # lies `above` places before its end; an empty staircase stays censored
-        above = np.zeros(ends.size, dtype=np.int64)
-        if starts.size:
-            above[filled] = np.add.reduceat(values > h, starts)
+        rep, times, values = self.records
+        n = self.run_lengths.size
+        # a replication's records rise strictly, so its values above h end
+        # its rows: the first lies `above` rows before the end of them
+        above = np.bincount(rep[values > h], minlength=n)
+        ends = np.cumsum(np.bincount(rep, minlength=n))
         resolved = above > 0
-        rl = np.full(ends.size, self.max_rl, dtype=np.int64)
+        rl = np.full(n, self.max_rl, dtype=np.int64)
         rl[resolved] = times[(ends - above)[resolved]]
         return rl, resolved
 
@@ -355,15 +357,17 @@ def _simulate_chunk(
     time into a (STEP, lanes, p) block, and the evaluator takes the block's
     T2 in one call. A lane ends at its first T2 above cap in the block, and
     the steps computed past it are discarded; under ``track_records`` its
-    record highs in the block come from a running maximum cut off there.
+    record highs in the block come from a running maximum cut off there,
+    and return stably sorted by replication, so each one's stay in time order.
 
     Each replication draws its patients from its own generator into one
     (lanes, rows, k) block of uniforms per refill, of 16, 32, 64, 128 and
     then BUF rows, cut at max_rl, so a short run draws few. STEP divides
-    every block but a cut one, so no block of steps straddles a refill. ``rows`` maps the active lanes to
-    their rows of the block; it stays None, and steps read the block whole,
-    until a lane resolves. A resolution shrinks only ``rows`` and the
-    per-lane state; the next refill draws for the active lanes alone.
+    every block but a cut one, so no block of steps straddles a refill.
+    ``rows`` maps the active lanes to their rows of the block; it stays
+    None, and steps read the block whole, until a lane resolves. A
+    resolution shrinks only ``rows`` and the per-lane state; the next
+    refill draws for the active lanes alone.
     """
     n_reps = len(gens)
     active = np.arange(n_reps)
@@ -371,8 +375,7 @@ def _simulate_chunk(
     w = np.zeros((n_reps, r.shape[0]))
     rec = np.full(n_reps, -np.inf)
     resolved_t = np.zeros(n_reps, dtype=np.int64)
-    st_t = [[] for _ in range(n_reps)] if track_records else None
-    st_v = [[] for _ in range(n_reps)] if track_records else None
+    highs = []  # per block, the (replication, time, value) arrays of its record highs
     buf = rows = None
     t0 = start = end = 0  # patients done; first and end patient of the uniform block
     size = STEP
@@ -399,9 +402,8 @@ def _simulate_chunk(
         if track_records:
             t2[np.arange(n)[:, None] > first] = -np.inf
             best = np.maximum.accumulate(np.concatenate([rec[None], t2]), axis=0)
-            for lane, j in zip(*np.nonzero((t2 > best[:-1]).T)):
-                st_t[active[lane]].append(t0 + 1 + j)
-                st_v[active[lane]].append(t2[j, lane])
+            j, lane = np.nonzero(t2 > best[:-1])
+            highs.append((active[lane], t0 + 1 + j, t2[j, lane]))
             rec = best[-1]
         if done.any():
             resolved_t[active[done]] = t0 + 1 + first[done]
@@ -414,15 +416,12 @@ def _simulate_chunk(
                 break
         t0 += n
 
-    run_lengths = np.where(resolved_t > 0, resolved_t, max_rl)
-    resolved = resolved_t > 0
-    stairs = None
+    records = None
     if track_records:
-        stairs = [
-            (np.asarray(ts, dtype=np.int64), np.asarray(vs, dtype=float))
-            for ts, vs in zip(st_t, st_v)
-        ]
-    return run_lengths, resolved, stairs
+        rep, times, values = map(np.concatenate, zip(*highs))
+        order = np.argsort(rep, kind="stable")
+        records = (rep[order], times[order], values[order])
+    return np.where(resolved_t > 0, resolved_t, max_rl), resolved_t > 0, records
 
 
 def simulate_run_lengths(
@@ -467,11 +466,9 @@ def simulate_run_lengths(
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(job, chunks))
 
-    run_lengths = np.concatenate([r[0] for r in results])
-    resolved = np.concatenate([r[1] for r in results])
-    stairs = None
-    if track_records:
-        stairs = [pair for r in results for pair in r[2]]
-    return RunLengthSample(
-        run_lengths=run_lengths, resolved=resolved, cap=float(cap), max_rl=max_rl, staircases=stairs
-    )
+    run_lengths, resolved, chunk_records = zip(*results)
+    records = None
+    if track_records:  # a chunk numbers its replications from 0
+        parts = [(rep + lo, times, values) for (lo, _), (rep, times, values) in zip(chunks, chunk_records)]
+        records = tuple(map(np.concatenate, zip(*parts)))
+    return RunLengthSample(np.concatenate(run_lengths), np.concatenate(resolved), float(cap), max_rl, records)

@@ -107,16 +107,17 @@ def test_kernel_unequal_r_matches_reference(delivery):
 
 def test_at_limit_equals_direct_simulation(delivery, chart):
     gen = sm.in_control_generator(delivery)
-    tracked = simulate_run_lengths(
-        gen, delivery.params, chart, reps=500, max_rl=400, seed=3, cap=80.0, track_records=True
-    )
-    for h in (20.0, 40.0, 60.0):
-        direct = simulate_run_lengths(gen, delivery.params, chart, reps=500, max_rl=400, seed=3, cap=h)
-        rl, resolved = tracked.at_limit(h)
-        np.testing.assert_array_equal(rl, direct.run_lengths)
-        np.testing.assert_array_equal(resolved, direct.resolved)
-    with pytest.raises(sm.ModelConfigError):
-        tracked.at_limit(81.0)
+    # one chunk, then three chunks, whose replication ids carry each chunk's offset
+    for reps, threads in ((500, None), (2 * mc.CHUNK + 3, 1), (2 * mc.CHUNK + 3, 2)):
+        kw = dict(reps=reps, max_rl=400, seed=3, threads=threads)
+        tracked = simulate_run_lengths(gen, delivery.params, chart, cap=80.0, track_records=True, **kw)
+        for h in (20.0, 40.0, 60.0):
+            direct = simulate_run_lengths(gen, delivery.params, chart, cap=h, **kw)
+            rl, resolved = tracked.at_limit(h)
+            np.testing.assert_array_equal(rl, direct.run_lengths)
+            np.testing.assert_array_equal(resolved, direct.resolved)
+        with pytest.raises(sm.ModelConfigError):
+            tracked.at_limit(81.0)
 
 
 def test_warmup_defers_resolution(delivery):
@@ -206,7 +207,7 @@ def test_nan_limits_are_rejected(delivery, chart):
     with pytest.raises(sm.ModelConfigError, match="limit"):
         tracked.at_limit(float("nan"))
     # a sample whose cap is nan bounds no limit
-    odd = mc.RunLengthSample(tracked.run_lengths, tracked.resolved, float("nan"), 50, tracked.staircases)
+    odd = mc.RunLengthSample(tracked.run_lengths, tracked.resolved, float("nan"), 50, records=tracked.records)
     with pytest.raises(sm.ModelConfigError, match="exceeds"):
         odd.at_limit(1e9)
 
