@@ -119,7 +119,8 @@ def estimate_arl(
     propagating estimation uncertainty into the run lengths. Replication
     ``rep`` then draws its Phase-I sample and, after it, its monitored
     patients from ``replication_rng(seed, rep)``, and runs on the same Monte
-    Carlo kernel as the plain estimate, one replication at a time.
+    Carlo kernel as the plain estimate, one replication at a time, so
+    ``threads`` has no effect.
     """
     if config.h is None:
         raise ModelConfigError("config.h must be set to estimate an ARL")

@@ -5,7 +5,8 @@ numerically singular chart covariance and a file that cannot be read or
 written), 3 fit failure (non-convergence or complete separation), 4
 calibration failure, 5 invalid shift, 141 the reader of standard output
 closed it. Every output file embeds a run manifest whose argv re-runs the
-command bit-identically (payload bytes).
+command with byte-identical payload bytes on the same machine and BLAS
+kernel.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import io as fio
 from .calibrate import calibrate_h
-from .chart import ChartConfig, run_stream
+from .chart import ASYMPTOTIC, EXACT_RECURSIVE, ChartConfig, run_stream
 from .errors import (
     CalibrationError,
     DataFormatError,
@@ -33,6 +34,8 @@ from .likelihood import MIN_MC_SAMPLES, expected_score_covariance, fit_mle
 from .mc import PatientGenerator, sample_patients
 from .model import model_hash
 from .shifts import (
+    MEAN_ODDS,
+    SHIFT_KINDS,
     ShiftSpec,
     StudyGrid,
     apply_shift,
@@ -194,7 +197,7 @@ def cmd_study(args) -> int:
     model, params = _load_model_and_params(args)
     targets = _parse_targets(args.targets)
     validate_shift_targets(model.spec, params, args.shift, targets)
-    placeholder = 1.0 if args.shift == "mean-odds" else 0.0
+    placeholder = 1.0 if args.shift == MEAN_ODDS else 0.0
     template = ShiftSpec(kind=args.shift, targets=targets, c=placeholder)
     c_values = fio.parse_c_grid(args.c_grid)
     config, chart_echo = _chart(model, params, args, h=args.h)
@@ -264,8 +267,8 @@ def _add_chart_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--warmup", type=_int_at_least(1), default=1, help="patients before signals count")
     p.add_argument(
         "--covariance-mode",
-        choices=["exact-recursive", "asymptotic"],
-        default="exact-recursive",
+        choices=[EXACT_RECURSIVE, ASYMPTOTIC],
+        default=EXACT_RECURSIVE,
         help="chart covariance: time-varying recursion or its limit",
     )
     p.add_argument("--sigma-mode", choices=["exact", "mc"], default="exact",
@@ -305,8 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("study", help="out-of-control ARL table over a shift grid")
     p.add_argument("model_config")
     p.add_argument("params")
-    p.add_argument("--shift", required=True,
-                   choices=["coefficient", "coefficient-pair", "mean-additive", "mean-odds"])
+    p.add_argument("--shift", required=True, choices=SHIFT_KINDS)
     p.add_argument("--targets", required=True, help="comma-separated coefficient or outcome names")
     p.add_argument("--c-grid", required=True, help="list a,b,c or range start:stop:step")
     p.add_argument("--h", type=_positive_finite, required=True, help="calibrated control limit")
@@ -332,8 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("params")
     p.add_argument("--n", type=_int_at_least(1), required=True)
     p.add_argument("--seed", type=_int_at_least(0), default=0)
-    p.add_argument("--shift", default=None,
-                   choices=["coefficient", "coefficient-pair", "mean-additive", "mean-odds"])
+    p.add_argument("--shift", default=None, choices=SHIFT_KINDS)
     p.add_argument("--targets", default=None)
     p.add_argument("--c", type=float, default=None)
     p.add_argument("-o", "--out", required=True)
@@ -394,7 +395,8 @@ def rerun_from_manifest(output_path: str, out: str) -> int:
     """Re-run the command recorded in an output file's manifest.
 
     The recorded argv is replayed with its output redirected to ``out``;
-    payloads must come out byte-identical.
+    on the same machine and BLAS kernel the payload comes out
+    byte-identical.
     """
     manifest = fio.read_manifest(output_path)
     if manifest is None:

@@ -3,14 +3,14 @@
 Every output file embeds a run manifest. JSON reports carry it under the
 "manifest" key; CSV files carry it in a leading "# manifest: ..." comment
 line. The payload (everything else) is reproduced byte-identically when the
-manifest's command line is re-run, which is what payload_bytes extracts.
+manifest's command line is re-run on the same machine and BLAS kernel; it is
+what payload_bytes extracts.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Any, Iterator, Mapping, TextIO
 
@@ -32,40 +32,17 @@ ID_COLUMNS = ("patient_id", "id")
 MANIFEST_PREFIX = "# manifest: "
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Everything needed to re-run a command bit-identically."""
-
-    command: str
-    argv: tuple[str, ...]
-    model_hash: str
-    seed: int | None
-    config: Mapping[str, Any]
-    tool_version: str
-    created_utc: str
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "command": self.command,
-            "argv": list(self.argv),
-            "model_hash": self.model_hash,
-            "seed": self.seed,
-            "config": dict(self.config),
-            "tool_version": self.tool_version,
-            "created_utc": self.created_utc,
-        }
-
-
-def make_manifest(command: str, argv, model_hash: str, seed: int | None, config: Mapping[str, Any]) -> RunManifest:
-    return RunManifest(
-        command=command,
-        argv=tuple(argv),
-        model_hash=model_hash,
-        seed=seed,
-        config=dict(config),
-        tool_version=__version__,
-        created_utc=datetime.now(timezone.utc).isoformat(timespec="seconds"),
-    )
+def make_manifest(command: str, argv, model_hash: str, seed: int | None, config: Mapping[str, Any]) -> dict[str, Any]:
+    """Everything needed to re-run a command: its argv replays it."""
+    return {
+        "command": command,
+        "argv": list(argv),
+        "model_hash": model_hash,
+        "seed": seed,
+        "config": dict(config),
+        "tool_version": __version__,
+        "created_utc": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+    }
 
 
 def _canonical_json(obj) -> str:
@@ -77,8 +54,8 @@ def _canonical_json(obj) -> str:
 # ---------------------------------------------------------------------------
 
 
-def write_json_report(path: str, manifest: RunManifest, payload: Mapping[str, Any]) -> None:
-    doc = {"manifest": manifest.to_dict(), "payload": payload}
+def write_json_report(path: str, manifest: dict, payload: Mapping[str, Any]) -> None:
+    doc = {"manifest": manifest, "payload": payload}
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")
@@ -119,9 +96,9 @@ def payload_bytes(path: str) -> bytes:
 # ---------------------------------------------------------------------------
 
 
-def _write_manifest_line(f: TextIO, manifest: RunManifest | None) -> None:
+def _write_manifest_line(f: TextIO, manifest: dict | None) -> None:
     if manifest is not None:
-        f.write(MANIFEST_PREFIX + _canonical_json(manifest.to_dict()) + "\n")
+        f.write(MANIFEST_PREFIX + _canonical_json(manifest) + "\n")
 
 
 def _fmt(value) -> str:
@@ -130,7 +107,7 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def write_study_csv(path: str, manifest: RunManifest | None, rows) -> None:
+def write_study_csv(path: str, manifest: dict | None, rows) -> None:
     """Study table: one row per (shift, c) with its run-length summary."""
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         _write_manifest_line(f, manifest)
@@ -153,7 +130,7 @@ def write_study_csv(path: str, manifest: RunManifest | None, rows) -> None:
             )
 
 
-def write_plot_csv(path: str, manifest: RunManifest | None, rows) -> None:
+def write_plot_csv(path: str, manifest: dict | None, rows) -> None:
     """Per-c plotting data with a normal-approximation 95 percent band."""
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         _write_manifest_line(f, manifest)
@@ -176,7 +153,7 @@ def patient_columns(spec: DagModelSpec) -> list[str]:
     return list(spec.columns)
 
 
-def write_patient_csv(path: str, spec: DagModelSpec, data: PatientData, manifest: RunManifest | None = None) -> None:
+def write_patient_csv(path: str, spec: DagModelSpec, data: PatientData, manifest: dict | None = None) -> None:
     bits = data.bits_for(spec)
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         _write_manifest_line(f, manifest)
