@@ -331,14 +331,16 @@ class RunLengthSample:
         if not h <= self.cap:
             raise ModelConfigError(f"limit {h} exceeds the simulated cap {self.cap}")
         rep, times, values = self.records
-        n = self.run_lengths.size
-        # a replication's records rise strictly, so its values above h end
-        # its rows: the first lies `above` rows before the end of them
-        above = np.bincount(rep[values > h], minlength=n)
-        ends = np.cumsum(np.bincount(rep, minlength=n))
-        resolved = above > 0
-        rl = np.full(n, self.max_rl, dtype=np.int64)
-        rl[resolved] = times[(ends - above)[resolved]]
+        # a replication's records rise strictly, so its first above h is
+        # the one above h that starts its rows or follows one at or below h
+        above = values > h
+        first = above.copy()
+        first[1:] &= ~above[:-1] | (rep[1:] != rep[:-1])
+        crossing = np.flatnonzero(first)
+        rl = np.full(self.run_lengths.size, self.max_rl, dtype=np.int64)
+        rl[rep[crossing]] = times[crossing]
+        resolved = np.zeros(self.run_lengths.size, dtype=bool)
+        resolved[rep[crossing]] = True
         return rl, resolved
 
 
