@@ -360,7 +360,7 @@ def _simulate_chunk(
     T2 in one call. A lane ends at its first T2 above cap in the block, and
     the steps computed past it are discarded; under ``track_records`` its
     record highs in the block come from a running maximum cut off there,
-    and return stably sorted by replication, so each one's stay in time order.
+    and a stable sort by replication keeps each replication's in time order.
 
     Each replication draws its patients from its own generator into one
     (lanes, rows, k) block of uniforms per refill, of 16, 32, 64, 128 and
