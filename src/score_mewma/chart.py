@@ -148,8 +148,7 @@ def _check_conditioning(mat: np.ndarray, coord_names) -> None:
 
 class T2Evaluator:
     """Owner of Sigma_W,t = f_t M_t for one chart configuration, and of T2_t =
-    W_t' Sigma_W,t^{-1} W_t, evaluated as ``((w @ inverse(t)) * w).sum(-1) / factor(t)``
-    for a state w, a matrix of them or a block of them over consecutive steps.
+    W_t' Sigma_W,t^{-1} W_t.
 
     With equal smoothing M_t = Sigma_S, and one conditioning check covers
     every t, since cond(f_t Sigma_S) = cond(Sigma_S). With unequal smoothing
@@ -157,6 +156,13 @@ class T2Evaluator:
     first needed, up to the cap beyond which it is stationary; the asymptotic
     mode has only its limit. SingularMatrixError names the coordinates that
     load most on the smallest eigenvalue of the failing matrix.
+
+    ``t2`` evaluates ``((w @ inverse(t)) * w).sum(-1) / factor(t)`` for a
+    state w, a matrix of them or a block of them over consecutive steps.
+    With equal smoothing ``whitener`` gives the factor W with W W' =
+    Sigma_S^{-1}, so T2_t = ||w W||^2 / f_t in whitened coordinates z = w W;
+    the Monte Carlo kernel runs the EWMA there, and takes ``t2`` only with
+    unequal smoothing.
     """
 
     def __init__(self, config: ChartConfig):
@@ -204,6 +210,15 @@ class T2Evaluator:
         """The matrix A_t = M_t^{-1}, with T2_t = w' A_t w / f_t."""
         return self._inverses[self._index(t)]
 
+    def whitener(self) -> np.ndarray | None:
+        """With equal smoothing, the lower Cholesky factor W of Sigma_S^{-1},
+        taken after the conditioning check; None with unequal smoothing.
+        Sigma_S is block-diagonal by node, so W is too, and the columns of
+        z = w W of one node carry that node's share of T2."""
+        if self._r0 is None:
+            return None
+        return np.linalg.cholesky(self.inverse(1))
+
     def sigma_w(self, t: int) -> np.ndarray:
         """Sigma_W,t = f_t M_t; zero at t = 0."""
         if t == 0:
@@ -213,7 +228,8 @@ class T2Evaluator:
     def t2(self, w: np.ndarray, t: int, factor) -> np.ndarray:
         """T2 of a state or a (lanes, p) matrix of states at step t, or of a
         (steps, lanes, p) block of them at steps t, t + 1, ..., with factor
-        shaped (steps, 1); each step's product is one (lanes, p) @ (p, p)."""
+        shaped (steps, 1); each step's product is one (lanes, p) @ (p, p).
+        The kernel's block path serves unequal smoothing only."""
         if t >= self._cap or w.ndim < 3:
             a = self.inverse(t)
         else:

@@ -17,10 +17,19 @@ refill, of 16, 32, 64, 128 and then BUF patients, so the many short runs
 draw little; patient t still reads uniforms [(t-1)k, tk) of its stream.
 A row map picks the active lanes' rows out of the block, so a resolved
 lane drops out without copying it. When a patient has at most ``_TYPE_LIMIT``
-bits, a step reads its scores from tables over the 2^k patient types:
-each node's generating mean and the score row of every type. Above the
+bits, a step reads its rows from tables over the 2^k patient types:
+each node's generating mean and the EWMA input row of every type. Above the
 limit each patient is generated and scored on its own. Both paths do the
 same arithmetic per patient, so they give the same floats.
+
+With equal smoothing r the EWMA runs in whitened coordinates. Sigma_W,t =
+f_t Sigma_S, so with the evaluator's factor W (W W' = Sigma_S^{-1}) the
+state z_t = w_t W has T2_t = ||z_t||^2 / f_t. A type's row is then r s W,
+summed over the columns of s in a fixed order, z_t = row_t + (1 - r)
+z_{t-1}, and T2 is a sum of squares with no matrix product per step.
+Sigma_S is block-diagonal by node, so each node's columns of z hold its
+share of T2. With unequal smoothing a row is r * s and the EWMA takes
+1 - r per coordinate, both as vectors, and the evaluator's ``t2`` gives T2.
 """
 
 from __future__ import annotations
@@ -262,38 +271,69 @@ def sample_patients(generator: PatientGenerator, n: int, rng) -> PatientData:
 class _CompiledSim:
     """Arrays and index plans shared by every chunk of one simulation.
 
-    With k <= _TYPE_LIMIT bits per patient it holds, per node, the generating
-    mean of each of the 2^k patient types and the (2^k, p) score table at
-    params0; type i has bit j of i in column j of the ``[x | z | y]`` row.
+    With equal smoothing r, ``whiten`` is r W for the evaluator's factor W,
+    the kernel's input rows are the whitened r s W and ``q`` is the scalar
+    1 - r; otherwise ``whiten`` is None, the rows are r * s and ``q`` is the
+    vector 1 - r. With k <= _TYPE_LIMIT bits per patient it holds, per
+    node, the generating mean of each of the 2^k patient types and the
+    (2^k, p) table of their rows at params0; type i has bit j of i in
+    column j of the ``[x | z | y]`` row.
     """
 
     def __init__(self, generator: PatientGenerator, params0: ParamVector, config: ChartConfig, max_rl: int):
         self.sample = _AncestralPass(generator, params0)
         self.k = sum(generator.spec.widths)
         self.r_vec = config.r_vec
+        self.q = float(1.0 - config.r_vec[0]) if config.equal_r else 1.0 - config.r_vec
         self.warmup = config.warmup
         self.evaluator = config.t2_evaluator
         # every Sigma_W a run can reach is checked and inverted before any thread starts
         self.evaluator.inverse(max_rl)
         self.factors = self.evaluator.factor(np.arange(1, max_rl + 1, dtype=float))
+        whitener = self.evaluator.whitener()
+        self.whiten = self.starts = None
+        if whitener is not None:
+            self.whiten = self.r_vec[0] * whitener
+            # each row's first nonzero column; W is lower triangular, so row j ends at column j
+            self.starts = (whitener != 0).argmax(axis=1).tolist()
         self.table = None
         if self.k <= _TYPE_LIMIT:
             types = type_bits(self.k)
             means = [self.sample.node_means(vi, types) for vi in range(len(self.sample.designs))]
             self.type_means = [mu for mu, _ in means]
-            self.table = score_rows(self.sample.designs, types, [mu0 for _, mu0 in means])
-            self.cov_weights = 1 << np.arange(self.sample.p_cov.shape[0])
+            self.prevalences = [float(p) for p in self.sample.p_cov]  # Python floats compare faster
+            self.table = self._from_scores(score_rows(self.sample.designs, types, [mu0 for _, mu0 in means]))
 
-    def scores(self, u: np.ndarray) -> np.ndarray:
-        """(..., p) scores of the patients drawn from a (..., k) block of uniforms."""
+    def _from_scores(self, s: np.ndarray) -> np.ndarray:
+        """Input rows of an (n, p) score matrix: r * s, or s @ whiten summed
+        over the columns of s in a fixed order, not by BLAS, so a row's
+        floats do not depend on the rows beside it. A term of an exact zero
+        of whiten is skipped, as it adds nothing."""
+        if self.whiten is None:
+            return self.r_vec * s
+        out = np.zeros(s.shape[::-1])  # transposed, so each step runs along n
+        for j, lo in enumerate(self.starts):
+            out[lo : j + 1] += self.whiten[j, lo : j + 1, None] * s[:, j]
+        return out.T.copy()
+
+    def inputs(self, u: np.ndarray) -> np.ndarray:
+        """(..., p) input rows of the patients drawn from a (..., k) block of uniforms."""
         if self.table is None:
             bits, means = self.sample(u.reshape(-1, self.k))
-            return score_rows(self.sample.designs, bits, means).reshape(*u.shape[:-1], -1)
-        p_cov = self.sample.p_cov
-        typ = (u[..., : p_cov.shape[0]] < p_cov) @ self.cov_weights
+            return self._from_scores(score_rows(self.sample.designs, bits, means)).reshape(*u.shape[:-1], -1)
+        typ = np.zeros(u.shape[:-1], dtype=np.int64)
+        for j, prevalence in enumerate(self.prevalences):
+            typ |= (u[..., j] < prevalence) << j
         for design, mu in zip(self.sample.designs, self.type_means):
-            typ += (u[..., design.out_col] < mu[typ]) << design.out_col
-        return self.table[typ]
+            typ |= (u[..., design.out_col] < mu[typ]) << design.out_col
+        return self.table.take(typ, axis=0)
+
+    def t2(self, z: np.ndarray, t0: int) -> np.ndarray:
+        """T2 of a (steps, lanes, p) block of EWMA states at steps t0 + 1, t0 + 2, ..."""
+        factor = self.factors[t0 : t0 + z.shape[0], None]
+        if self.whiten is None:
+            return self.evaluator.t2(z, t0 + 1, factor)
+        return np.einsum("ijk,ijk->ij", z, z) / factor
 
 
 @dataclass
@@ -354,10 +394,13 @@ def _simulate_chunk(
     """Run one replication per generator to its first T2 above cap or max_rl.
 
     Every active replication is a lane, and each loop iteration advances
-    every lane STEP patients: ``sim.scores`` scores the block's STEP x lanes
-    patients in one call, the EWMA runs through the block one step at a
-    time into a (STEP, lanes, p) block, and the evaluator takes the block's
-    T2 in one call. A lane ends at its first T2 above cap in the block, and
+    every lane STEP patients: ``sim.inputs`` gives the input rows of the
+    block's STEP x lanes patients in one call, the EWMA z_t = row_t + q
+    z_{t-1} runs through the block one step at a time into that
+    (STEP, lanes, p) block with one preallocated temporary, and
+    ``sim.t2`` takes the block's T2 in one call: a sum of squares of the
+    whitened states with equal smoothing, else the evaluator's ``t2``.
+    A lane ends at its first T2 above cap in the block, and
     the steps computed past it are discarded; under ``track_records`` its
     record highs in the block come from a running maximum cut off there,
     and a stable sort by replication keeps each replication's in time order.
@@ -373,8 +416,8 @@ def _simulate_chunk(
     """
     n_reps = len(gens)
     active = np.arange(n_reps)
-    r, q = sim.r_vec, 1.0 - sim.r_vec
-    w = np.zeros((n_reps, r.shape[0]))
+    z = np.zeros((n_reps, sim.r_vec.shape[0]))
+    qz = np.empty_like(z)  # q * z of one step, in its first len(active) rows
     rec = np.full(n_reps, -np.inf)
     resolved_t = np.zeros(n_reps, dtype=np.int64)
     highs = []  # per block, the (replication, time, value) arrays of its record highs
@@ -391,12 +434,13 @@ def _simulate_chunk(
             start, end, size = t0, t0 + buf.shape[1], min(2 * size, BUF)
         n = min(STEP, end - t0)
         block = np.s_[t0 - start : t0 - start + n]
-        s = sim.scores((buf[:, block] if rows is None else buf[rows, block]).transpose(1, 0, 2))
-        ws = np.multiply(r, s, out=s)  # then ws[j] = r * s[j] + (1 - r) * w, float for float
+        zs = sim.inputs((buf[:, block] if rows is None else buf[rows, block]).transpose(1, 0, 2))
+        qz_lanes = qz[: active.size]
         for j in range(n):
-            ws[j] += q * w
-            w = ws[j]
-        t2 = sim.evaluator.t2(ws, t0 + 1, sim.factors[t0 : t0 + n, None])
+            zj = zs[j]
+            zj += np.multiply(sim.q, z, out=qz_lanes)
+            z = zj
+        t2 = sim.t2(zs, t0)
         t2[: max(sim.warmup - 1 - t0, 0)] = -np.inf  # no record or signal before the warmup
         over = t2 > cap
         done = over.any(axis=0)
@@ -411,7 +455,7 @@ def _simulate_chunk(
             resolved_t[active[done]] = t0 + 1 + first[done]
             keep = ~done
             active = active[keep]
-            w = w[keep]
+            z = z[keep]
             rec = rec[keep]
             rows = np.flatnonzero(keep) if rows is None else rows[keep]
             if active.size == 0:

@@ -306,10 +306,11 @@ def _built_on_openblas() -> bool:
 
 
 def test_pinned_run_lengths_hold_under_another_blas_kernel():
-    """T2 of a block of steps is one BLAS product per step, and a row's
-    floats there depend on the kernel's blocking; the pinned run lengths
-    must not. Reruns the pinned test under OpenBLAS's Haswell kernel, set
-    for the child process only."""
+    """LAPACK gives Sigma_S's inverse and its Cholesky factor, whose last
+    bits depend on OpenBLAS's kernel, and so do the kernel's whitened
+    score tables and T2 values; the pinned run lengths must not. Reruns
+    the pinned test under OpenBLAS's Haswell kernel, set for the child
+    process only."""
     if not _built_on_openblas():
         pytest.skip("numpy is not built on OpenBLAS")
     root = Path(__file__).resolve().parents[1]
@@ -468,15 +469,17 @@ def test_tracked_records_are_pinned(delivery, threads):
         (dict(r=0.02, h=38.0, warmup=21), False, 34),
         (dict(r=0.02, h=38.0, warmup=21), True, 34),
         (dict(_UNEQUAL_R_CHART, h=44.0), True, 32),
+        (dict(r=0.02, h=34.0, covariance_mode="asymptotic"), True, 32),
+        (dict(_UNEQUAL_R_CHART, h=40.0, covariance_mode="asymptotic"), True, 32),
     ],
-    ids=["tracked", "warmup-21", "warmup-21-tracked", "unequal-r"],
+    ids=["tracked", "warmup-21", "warmup-21-tracked", "unequal-r", "asymptotic", "asymptotic-unequal-r"],
 )
 def test_kernel_matches_reference_across_uniform_blocks(delivery, chart_kw, track, seed):
     """Replications that run past every uniform-block boundary (16 + 32 + 64
     + 128 + 256 = 496 patients) into a last block cut short at max_rl 503
     give the run lengths and staircases of run_stream over the same patients."""
     sigma = sm.expected_score_covariance(delivery.spec, delivery.params, delivery.covariates).values
-    config = sm.ChartConfig(sigma_s=sigma, covariance_mode="exact-recursive", **chart_kw)
+    config = sm.ChartConfig(sigma_s=sigma, **{"covariance_mode": "exact-recursive", **chart_kw})
     gen = sm.in_control_generator(delivery)
     reps, max_rl = 24, 503
     sample = simulate_run_lengths(
@@ -504,3 +507,27 @@ def test_kernel_matches_reference_across_uniform_blocks(delivery, chart_kw, trac
             times, values = sample.staircases[rep]
             np.testing.assert_array_equal(times, [t for t, _ in refs])
             np.testing.assert_allclose(values, [v for _, v in refs], rtol=1e-9)
+
+
+@pytest.mark.parametrize("mode", ["exact-recursive", "asymptotic"])
+def test_whitened_t2_equals_the_evaluator(delivery, mode):
+    """With equal smoothing the kernel's T2 of whitened states z = w W is the
+    evaluator's T2 of w; W is block-diagonal by node, so each node's columns
+    of z hold its share of T2. Unequal smoothing gets no whitener."""
+    sigma = sm.expected_score_covariance(delivery.spec, delivery.params, delivery.covariates).values
+    config = sm.ChartConfig(sigma_s=sigma, r=0.02, covariance_mode=mode)
+    sim = mc._CompiledSim(sm.in_control_generator(delivery), delivery.params, config, max_rl=100)
+    whitener = config.t2_evaluator.whitener()
+    np.testing.assert_array_equal(sim.whiten, 0.02 * whitener)
+    w = 0.02 * np.random.default_rng(4).standard_normal((mc.STEP, 50, config.p))
+    for t0 in (0, 40):
+        expected = config.t2_evaluator.t2(w, t0 + 1, sim.factors[t0 : t0 + mc.STEP, None])
+        np.testing.assert_allclose(sim.t2(w @ whitener, t0), expected, rtol=1e-12)
+    for design in sim.sample.designs:
+        rows = np.zeros(config.p, dtype=bool)
+        rows[design.param_indices] = True
+        assert not whitener[np.ix_(rows, ~rows)].any() and not whitener[np.ix_(~rows, rows)].any()
+
+    unequal = sm.ChartConfig(sigma_s=sigma, r=_UNEQUAL_R_CHART["r"], covariance_mode=mode)
+    assert unequal.t2_evaluator.whitener() is None
+    assert mc._CompiledSim(sm.in_control_generator(delivery), delivery.params, unequal, max_rl=100).whiten is None
