@@ -8,7 +8,6 @@ covariance, either by the exact recursion or by its asymptotic limit.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -25,7 +24,6 @@ EXACT_RECURSIVE = "exact-recursive"
 ASYMPTOTIC = "asymptotic"
 
 COND_LIMIT = 1e12
-_GROW_LOCK = threading.Lock()  # guards T2Evaluator._index's lazy growth
 
 
 @dataclass(frozen=True)
@@ -89,7 +87,8 @@ class ChartConfig:
 
     @cached_property
     def t2_evaluator(self) -> "T2Evaluator":
-        """The chart's T2 evaluator, built on first use."""
+        """The chart's T2 evaluator, built on first use; building it checks
+        and inverts every Sigma_W,t the chart can use."""
         return T2Evaluator(self)
 
     def sigma_w_asymptotic(self) -> np.ndarray:
@@ -134,10 +133,14 @@ def init_state(config: ChartConfig) -> MewmaState:
     return MewmaState(config=config, w=np.zeros(config.p), t=0)
 
 
-def _check_conditioning(mat: np.ndarray, coord_names) -> None:
-    evals = np.linalg.eigvalsh(mat)
-    if evals[0] <= 0.0 or evals[-1] / evals[0] > COND_LIMIT:
-        _, evecs = np.linalg.eigh(mat)
+def _check_conditioning(mats: np.ndarray, coord_names) -> None:
+    """Raise SingularMatrixError for the first numerically singular matrix
+    of a (n, p, p) stack."""
+    evals = np.linalg.eigvalsh(mats)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bad = (evals[:, 0] <= 0.0) | (evals[:, -1] / evals[:, 0] > COND_LIMIT)
+    if bad.any():
+        _, evecs = np.linalg.eigh(mats[bad.argmax()])
         worst = np.argsort(np.abs(evecs[:, 0]))[::-1][:3]
         labels = [coord_names[i] if coord_names else str(i) for i in worst]
         raise SingularMatrixError(
@@ -150,12 +153,13 @@ class T2Evaluator:
     """Owner of Sigma_W,t = f_t M_t for one chart configuration, and of T2_t =
     W_t' Sigma_W,t^{-1} W_t.
 
-    With equal smoothing M_t = Sigma_S, and one conditioning check covers
-    every t, since cond(f_t Sigma_S) = cond(Sigma_S). With unequal smoothing
-    f_t = 1 and M_t = R Sigma_S R + (I - R) M_{t-1} (I - R), each checked when
-    first needed, up to the cap beyond which it is stationary; the asymptotic
-    mode has only its limit. SingularMatrixError names the coordinates that
-    load most on the smallest eigenvalue of the failing matrix.
+    Every M_t the chart can use is built, checked and inverted here, once,
+    and never changes after. With equal smoothing M_t = Sigma_S, one matrix
+    for every t, since cond(f_t Sigma_S) = cond(Sigma_S); the asymptotic
+    mode has only its limit. With unequal smoothing f_t = 1 and M_t = R
+    Sigma_S R + (I - R) M_{t-1} (I - R) from M_0 = 0, up to the cap beyond
+    which it is stationary. SingularMatrixError names the coordinates that
+    load most on the smallest eigenvalue of the first failing matrix.
 
     ``t2`` evaluates ``((w @ inverse(t)) * w).sum(-1) / factor(t)`` for a
     state w, a matrix of them or a block of them over consecutive steps.
@@ -166,36 +170,27 @@ class T2Evaluator:
     """
 
     def __init__(self, config: ChartConfig):
-        self._names = config.coord_names
         self._mode = config.covariance_mode
         self._r0 = float(config.r_vec[0]) if config.equal_r else None
-        self._sigma_s = config.sigma_s
-        self._matrices: list[np.ndarray] = []  # M_1, M_2, ...
-        self._inverses: list[np.ndarray] = []
         if config.equal_r or config.covariance_mode == ASYMPTOTIC:
-            self._append(config.sigma_s if config.equal_r else config.sigma_w_asymptotic())
-            self._cap = 1
+            mats = (config.sigma_s if config.equal_r else config.sigma_w_asymptotic())[None]
         else:
             r = config.r_vec
-            self._rr = np.outer(r, r)
-            self._qq = np.outer(1.0 - r, 1.0 - r)
+            rr, qq = np.outer(r, r), np.outer(1.0 - r, 1.0 - r)
             # (1 - r_min)^(2t) < e^-41.5 beyond the cap
-            self._cap = int(np.ceil(-41.5 / (2.0 * np.log1p(-float(r.min())))) + 1)
-
-    def _append(self, mat: np.ndarray) -> None:
-        _check_conditioning(mat, self._names)
-        self._matrices.append(mat)  # before its inverse: readers test len(_inverses)
-        self._inverses.append(np.linalg.inv(mat))
+            cap = int(np.ceil(-41.5 / (2.0 * np.log1p(-float(r.min())))) + 1)
+            mats = np.zeros((cap + 1, config.p, config.p))  # M_0, M_1, ..., M_cap
+            for t in range(1, cap + 1):
+                mats[t] = rr * config.sigma_s + qq * mats[t - 1]
+            mats = mats[1:]
+        _check_conditioning(mats, config.coord_names)
+        self._matrices = mats  # M_1, ..., M_cap
+        self._inverses = np.linalg.inv(mats)
+        self._matrices.flags.writeable = self._inverses.flags.writeable = False
 
     def _index(self, t: int) -> int:
-        """Position of M_t, growing the recursion up to it."""
-        t = min(t, self._cap)
-        if t > len(self._inverses):
-            with _GROW_LOCK:
-                while len(self._inverses) < t:
-                    prev = self._matrices[-1] if self._matrices else np.zeros_like(self._sigma_s)
-                    self._append(self._rr * self._sigma_s + self._qq * prev)
-        return t - 1
+        """Position of M_t; M_t = M_cap beyond the cap."""
+        return min(t, len(self._inverses)) - 1
 
     def factor(self, t):
         """f_t at t = 1, 2, ... (an int or a float array); 1 with unequal smoothing."""
@@ -222,7 +217,7 @@ class T2Evaluator:
     def sigma_w(self, t: int) -> np.ndarray:
         """Sigma_W,t = f_t M_t; zero at t = 0."""
         if t == 0:
-            return np.zeros_like(self._sigma_s)
+            return np.zeros_like(self._matrices[0])
         return self.factor(t) * self._matrices[self._index(t)]
 
     def t2(self, w: np.ndarray, t: int, factor) -> np.ndarray:
@@ -230,10 +225,11 @@ class T2Evaluator:
         (steps, lanes, p) block of them at steps t, t + 1, ..., with factor
         shaped (steps, 1); each step's product is one (lanes, p) @ (p, p).
         The kernel's block path serves unequal smoothing only."""
-        if t >= self._cap or w.ndim < 3:
+        cap = len(self._inverses)
+        if t >= cap or w.ndim < 3:
             a = self.inverse(t)
         else:
-            a = np.stack([self.inverse(t + j) for j in range(w.shape[0])])
+            a = self._inverses[np.minimum(np.arange(t, t + w.shape[0]), cap) - 1]
         return ((w @ a) * w).sum(axis=-1) / factor
 
 

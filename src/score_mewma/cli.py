@@ -63,29 +63,18 @@ def _int_at_least(low: int):
     return parse
 
 
-def _positive_finite(text: str) -> float:
-    value = float(text)
-    if not (value > 0.0 and math.isfinite(value)):
-        raise argparse.ArgumentTypeError("must be positive and finite")
-    return value
+def _float_where(accept, message: str):
+    def parse(text: str) -> float:
+        value = float(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(message)
+        return value
+
+    parse.__name__ = "float"  # argparse names the type in "invalid float value"
+    return parse
 
 
-def _smoothing(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value <= 1.0:
-        raise argparse.ArgumentTypeError("smoothing weight must lie in (0, 1]")
-    return value
-
-
-def _target_arl(text: str) -> float:
-    value = float(text)
-    if not (value > 1.0 and math.isfinite(value)):
-        raise argparse.ArgumentTypeError("target ARL must be finite and exceed 1")
-    return value
-
-
-for _parse in (_positive_finite, _smoothing, _target_arl):
-    _parse.__name__ = "float"  # argparse names the type in "invalid float value"
+_positive_finite = _float_where(lambda v: v > 0.0 and math.isfinite(v), "must be positive and finite")
 
 
 def _chart(model, params, args, h):
@@ -263,7 +252,8 @@ def cmd_simulate(args) -> int:
 
 
 def _add_chart_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--r", type=_smoothing, default=0.1, help="EWMA smoothing weight (default 0.1)")
+    p.add_argument("--r", type=_float_where(lambda v: 0.0 < v <= 1.0, "smoothing weight must lie in (0, 1]"),
+                   default=0.1, help="EWMA smoothing weight (default 0.1)")
     p.add_argument("--warmup", type=_int_at_least(1), default=1, help="patients before signals count")
     p.add_argument(
         "--covariance-mode",
@@ -296,7 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", help="find the control limit for a target in-control ARL")
     p.add_argument("model_config")
     p.add_argument("params")
-    p.add_argument("--target-arl", type=_target_arl, required=True)
+    p.add_argument("--target-arl", required=True,
+                   type=_float_where(lambda v: v > 1.0 and math.isfinite(v), "target ARL must be finite and exceed 1"))
     p.add_argument("--reps", type=_int_at_least(1), default=10_000, help="final-stage replications")
     p.add_argument("--rel-tolerance", type=_positive_finite, default=0.02)
     p.add_argument("--max-rl", type=_int_at_least(1), default=None)

@@ -176,6 +176,9 @@ def iter_patient_rows(f: TextIO, spec: DagModelSpec) -> Iterator[PatientRecord]:
     if header is None:
         raise DataFormatError("empty patient CSV: no header row")
     header = header.split(",")
+    repeated = [c for i, c in enumerate(header) if c in header[:i]]
+    if repeated:
+        raise DataFormatError(f"patient CSV repeats column {repeated[0]!r}")
     missing = [c for c in cols if c not in header]
     if missing:
         raise DataFormatError(f"patient CSV is missing required column {missing[0]!r}")
@@ -229,6 +232,8 @@ def parse_c_grid(text: str) -> list[float]:
         if step <= 0 or stop < start:
             raise DataFormatError(f"bad c grid {text!r}: need step > 0 and stop >= start")
         n_exact = (stop - start) / step
+        if not all(map(math.isfinite, (start, stop, step, n_exact))):
+            raise DataFormatError(f"bad c grid {text!r}: need finite bounds and a finite number of steps")
         count = int(round(n_exact))
         if abs(start + count * step - stop) > 1e-9:
             count = int(math.floor(n_exact + 1e-12))
@@ -264,7 +269,13 @@ def load_params_file(path: str, spec: DagModelSpec) -> ParamVector:
         values = doc
     else:
         raise DataFormatError(f"{path}: cannot find coefficient values in this file")
+    numbers = {}
+    for name, value in values.items():
+        try:
+            numbers[str(name)] = float(value)
+        except (TypeError, ValueError):
+            raise DataFormatError(f"{path}: coefficient {name!r} must be a number, got {value!r}") from None
     try:
-        return ParamVector.for_spec(spec, {str(k): float(v) for k, v in values.items()})
+        return ParamVector.for_spec(spec, numbers)
     except ModelConfigError as exc:
         raise DataFormatError(f"{path}: {exc}") from None

@@ -277,7 +277,9 @@ class _CompiledSim:
     vector 1 - r. With k <= _TYPE_LIMIT bits per patient it holds, per
     node, the generating mean of each of the 2^k patient types and the
     (2^k, p) table of their rows at params0; type i has bit j of i in
-    column j of the ``[x | z | y]`` row.
+    column j of the ``[x | z | y]`` row. Taking the config's evaluator
+    builds it, which checks and inverts every Sigma_W,t before any thread
+    starts; the threads only read it.
     """
 
     def __init__(self, generator: PatientGenerator, params0: ParamVector, config: ChartConfig, max_rl: int):
@@ -287,8 +289,6 @@ class _CompiledSim:
         self.q = float(1.0 - config.r_vec[0]) if config.equal_r else 1.0 - config.r_vec
         self.warmup = config.warmup
         self.evaluator = config.t2_evaluator
-        # every Sigma_W a run can reach is checked and inverted before any thread starts
-        self.evaluator.inverse(max_rl)
         self.factors = self.evaluator.factor(np.arange(1, max_rl + 1, dtype=float))
         whitener = self.evaluator.whitener()
         self.whiten = self.starts = None

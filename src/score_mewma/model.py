@@ -468,16 +468,28 @@ class Model:
         object.__setattr__(self, "metadata", dict(self.metadata))
 
 
-def _parse_parent(node_id: str, kind: str, entry: Any) -> tuple[str, str, float]:
-    if not isinstance(entry, dict):
-        raise ModelConfigError(f"node {node_id}: {kind} entries must be objects")
+def _number(value: Any, what: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ModelConfigError(f"{what} must be a number, got {value!r}") from None
+
+
+def _entries(value: Any, what: str) -> list:
+    if not isinstance(value, (list, tuple)) or not all(isinstance(e, dict) for e in value):
+        raise ModelConfigError(f"{what} must be a list of objects")
+    return value
+
+
+def _parse_parent(node_id: str, kind: str, entry: dict) -> tuple[str, str, float]:
     unknown = set(entry) - {"var", "coef_name", "value"}
     if unknown:
         raise ModelConfigError(f"node {node_id}: unknown field {sorted(unknown)[0]!r} in {kind}")
     try:
-        return str(entry["var"]), str(entry["coef_name"]), float(entry["value"])
+        var, name, value = entry["var"], entry["coef_name"], entry["value"]
     except KeyError as exc:
         raise ModelConfigError(f"node {node_id}: {kind} entry missing field {exc.args[0]!r}") from None
+    return str(var), str(name), _number(value, f"node {node_id}: {kind} value of {name!r}")
 
 
 def model_from_dict(doc: Mapping[str, Any]) -> Model:
@@ -490,9 +502,11 @@ def model_from_dict(doc: Mapping[str, Any]) -> Model:
     for key in ("nodes", "covariates"):
         if key not in doc:
             raise ModelConfigError(f"config is missing the {key!r} list")
+    if not isinstance(doc.get("metadata", {}), Mapping):
+        raise ModelConfigError("metadata must be an object")
 
     process_ids, risk_ids, prevalence = [], [], {}
-    for cov in doc["covariates"]:
+    for cov in _entries(doc["covariates"], "covariates"):
         unknown = set(cov) - {"id", "kind", "prevalence"}
         if unknown:
             raise ModelConfigError(f"unknown covariate field {sorted(unknown)[0]!r}")
@@ -503,10 +517,10 @@ def model_from_dict(doc: Mapping[str, Any]) -> Model:
             risk_ids.append(cid)
         else:
             raise ModelConfigError(f"covariate {cid!r}: kind must be 'process' or 'risk', got {kind!r}")
-        prevalence[cid] = float(cov.get("prevalence", 0.5))
+        prevalence[cid] = _number(cov.get("prevalence", 0.5), f"covariate {cid!r}: prevalence")
 
     nodes, values = [], {}
-    for nd in doc["nodes"]:
+    for nd in _entries(doc["nodes"], "nodes"):
         unknown = set(nd) - _NODE_FIELDS
         if unknown:
             raise ModelConfigError(f"unknown node field {sorted(unknown)[0]!r}")
@@ -516,10 +530,11 @@ def model_from_dict(doc: Mapping[str, Any]) -> Model:
             raise ModelConfigError(f"node {node_id}: intercept must be an object with coef_name and value")
         parents = {}
         for kind in ("process_parents", "outcome_parents", "risk_parents"):
-            parsed = [_parse_parent(node_id, kind, e) for e in nd.get(kind, [])]
+            entries = _entries(nd.get(kind, []), f"node {node_id}: {kind}")
+            parsed = [_parse_parent(node_id, kind, e) for e in entries]
             parents[kind] = tuple((var, name) for var, name, _ in parsed)
             values.update({name: val for _, name, val in parsed})
-        values[str(intercept["coef_name"])] = float(intercept.get("value", 0.0))
+        values[str(intercept["coef_name"])] = _number(intercept.get("value", 0.0), f"node {node_id}: intercept value")
         nodes.append(
             NodeSpec(
                 id=node_id,

@@ -156,6 +156,17 @@ class StudyRow:
     arl: ArlResult
 
 
+def _run_cases(generator, params0, cases, chart, reps, max_rl, seed, threads) -> list[StudyRow]:
+    """One row per (shift template, c) case; case i is seeded (seed, i)."""
+    rows = []
+    base = _seed_parts(seed)
+    for i, (template, c) in enumerate(cases):
+        shifted = apply_shift(generator, template.with_c(c))
+        arl = estimate_arl(shifted, params0, chart, reps=reps, max_rl=max_rl, seed=base + (i,), threads=threads)
+        rows.append(StudyRow(shift_kind=template.kind, targets=template.targets, c=float(c), arl=arl))
+    return rows
+
+
 def run_arl_study(
     generator: PatientGenerator,
     params0: ParamVector,
@@ -168,21 +179,8 @@ def run_arl_study(
     Each row draws independent replications seeded by (seed, row index); the
     shift is active from patient 1.
     """
-    rows = []
-    base = _seed_parts(seed)
-    for i, c in enumerate(grid.c_values):
-        shifted = apply_shift(generator, grid.shift.with_c(c))
-        arl = estimate_arl(
-            shifted,
-            params0,
-            grid.chart,
-            reps=grid.reps,
-            max_rl=grid.max_rl,
-            seed=base + (i,),
-            threads=threads,
-        )
-        rows.append(StudyRow(shift_kind=grid.shift.kind, targets=grid.shift.targets, c=float(c), arl=arl))
-    return rows
+    cases = [(grid.shift, c) for c in grid.c_values]
+    return _run_cases(generator, params0, cases, grid.chart, grid.reps, grid.max_rl, seed, threads)
 
 
 def run_pair_study(
@@ -201,22 +199,14 @@ def run_pair_study(
     For every pair (a, b) and every c the study emits the pair row plus the
     two single-coefficient rows, the comparison lines of a pair-shift plot.
     """
-    rows = []
-    base = _seed_parts(seed)
-    idx = 0
-    for a, b in pairs:
+    cases = [
+        (template, c)
+        for a, b in pairs
         for template in (
             ShiftSpec(kind=COEFFICIENT_PAIR, targets=(a, b), c=0.0),
             ShiftSpec(kind=COEFFICIENT, targets=(a,), c=0.0),
             ShiftSpec(kind=COEFFICIENT, targets=(b,), c=0.0),
-        ):
-            for c in c_values:
-                shifted = apply_shift(generator, template.with_c(c))
-                arl = estimate_arl(
-                    shifted, params0, chart, reps=reps, max_rl=max_rl, seed=base + (idx,), threads=threads
-                )
-                rows.append(
-                    StudyRow(shift_kind=template.kind, targets=template.targets, c=float(c), arl=arl)
-                )
-                idx += 1
-    return rows
+        )
+        for c in c_values
+    ]
+    return _run_cases(generator, params0, cases, chart, reps, max_rl, seed, threads)

@@ -563,3 +563,54 @@ def test_float_options_name_the_float_type(work, tmp_path, argv, capsys):
     err = capsys.readouterr().err
     assert "invalid float value: 'abc'" in err and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (lambda doc: doc.update(covariates=[1]), "covariates must be a list of objects"),
+        (lambda doc: doc.update(covariates=5), "covariates must be a list of objects"),
+        (lambda doc: doc.update(nodes=[7]), "nodes must be a list of objects"),
+        (lambda doc: doc["nodes"][0].update(process_parents=5), "node Y1: process_parents must be a list"),
+        (lambda doc: doc["covariates"][0].update(prevalence="x"), "covariate 'X1': prevalence must be a number"),
+        (lambda doc: doc["nodes"][0]["intercept"].update(value="x"), "node Y1: intercept value must be a number"),
+        (
+            lambda doc: doc["nodes"][0]["process_parents"][0].update(value="x"),
+            "node Y1: process_parents value of 'beta11' must be a number",
+        ),
+        (lambda doc: doc.update(metadata=5), "metadata must be an object"),
+    ],
+    ids=["covariate-entry", "covariates-not-a-list", "node-entry", "parents-not-a-list", "prevalence",
+         "intercept-value", "parent-value", "metadata"],
+)
+def test_malformed_model_config_exits_2(work, tmp_path, edit, named, capsys):
+    root, model = work
+    doc = json.loads(Path(model).read_text())
+    edit(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert run("simulate", bad, model, "--n", 5, "-o", tmp_path / "out.csv") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("score-mewma: ") and named in err and "Traceback" not in err
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["x", None], ids=["text", "null"])
+def test_non_numeric_params_value_exits_2(work, tmp_path, value, capsys):
+    root, model = work
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"params": {"alpha1": value}}))
+    assert run("simulate", model, params, "--n", 5, "-o", tmp_path / "out.csv") == 2
+    err = capsys.readouterr().err
+    assert f"{params}: coefficient 'alpha1' must be a number" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("grid", ["0:inf:1", "nan:1:1", "inf:inf:1", "0:1:nan", "0:1e300:1e-300"])
+def test_non_finite_c_grid_range_exits_2(work, tmp_path, grid, capsys):
+    root, model = work
+    out = tmp_path / "s.csv"
+    assert run("study", model, model, "--shift", "coefficient", "--targets", "beta24",
+               "--c-grid", grid, "--h", 30, "-o", out) == 2
+    err = capsys.readouterr().err
+    assert f"bad c grid {grid!r}" in err and "Traceback" not in err
+    assert not out.exists()

@@ -61,6 +61,13 @@ def test_patient_csv_unknown_column(delivery):
         fio.read_patient_csv(_io.StringIO(text), delivery.spec)
 
 
+def test_patient_csv_repeated_column_named(delivery):
+    cols = fio.patient_columns(delivery.spec) + ["Y1"]
+    text = ",".join(cols) + "\n" + ",".join(["0"] * (len(cols) - 1) + ["1"]) + "\n"
+    with pytest.raises(DataFormatError, match="repeats column 'Y1'"):
+        fio.read_patient_csv(_io.StringIO(text), delivery.spec)
+
+
 def test_patient_csv_bad_value_reports_row(delivery):
     cols = fio.patient_columns(delivery.spec)
     text = ",".join(cols) + "\n" + ",".join(["0"] * 8) + "\n" + "0,1,0,1,0,2,0,1\n"

@@ -262,16 +262,20 @@ def test_type_tables_equal_per_patient_path(delivery, monkeypatch, shift, chart_
 
 
 def test_multi_chunk_run_is_thread_independent(delivery, chart):
+    """Also with unequal smoothing, whose threads read one T2Evaluator's
+    per-step inverses."""
+    unequal = sm.ChartConfig(sigma_s=chart.sigma_s, **_UNEQUAL_R_CHART)
     gen = sm.in_control_generator(delivery)
     kw = dict(reps=2 * mc.CHUNK + 3, max_rl=40, seed=31, track_records=True)
-    a = simulate_run_lengths(gen, delivery.params, chart, threads=1, **kw)
-    b = simulate_run_lengths(gen, delivery.params, chart, threads=2, **kw)
-    np.testing.assert_array_equal(a.run_lengths, b.run_lengths)
-    np.testing.assert_array_equal(a.resolved, b.resolved)
-    assert a.resolved.any() and not a.resolved.all()
-    for (ta, va), (tb, vb) in zip(a.staircases, b.staircases, strict=True):
-        np.testing.assert_array_equal(ta, tb)
-        np.testing.assert_array_equal(va, vb)
+    for config in (chart, unequal):
+        a = simulate_run_lengths(gen, delivery.params, config, threads=1, **kw)
+        b = simulate_run_lengths(gen, delivery.params, config, threads=2, **kw)
+        np.testing.assert_array_equal(a.run_lengths, b.run_lengths)
+        np.testing.assert_array_equal(a.resolved, b.resolved)
+        assert a.resolved.any() and not a.resolved.all()
+        for (ta, va), (tb, vb) in zip(a.staircases, b.staircases, strict=True):
+            np.testing.assert_array_equal(ta, tb)
+            np.testing.assert_array_equal(va, vb)
 
 
 @pytest.mark.parametrize(
