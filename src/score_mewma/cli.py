@@ -301,7 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("params")
     p.add_argument("--shift", required=True, choices=SHIFT_KINDS)
     p.add_argument("--targets", required=True, help="comma-separated coefficient or outcome names")
-    p.add_argument("--c-grid", required=True, help="list a,b,c or range start:stop:step")
+    p.add_argument(
+        "--c-grid", required=True, help=f"list a,b,c or range start:stop:step of at most {fio.MAX_C_GRID} points"
+    )
     p.add_argument("--h", type=_positive_finite, required=True, help="calibrated control limit")
     p.add_argument("--reps", type=_int_at_least(1), default=5000)
     p.add_argument("--max-rl", type=_int_at_least(1), default=4000)

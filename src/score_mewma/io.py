@@ -23,6 +23,7 @@ from .model import (
     ParamVector,
     PatientData,
     PatientRecord,
+    _number,
     model_from_dict,
 )
 from .version import __version__
@@ -30,6 +31,7 @@ from .version import __version__
 ID_COLUMNS = ("patient_id", "id")
 
 MANIFEST_PREFIX = "# manifest: "
+MAX_C_GRID = 10_000  # most points a start:stop:step range may hold
 
 
 def make_manifest(command: str, argv, model_hash: str, seed: int | None, config: Mapping[str, Any]) -> dict[str, Any]:
@@ -218,7 +220,8 @@ def read_patient_csv(source, spec: DagModelSpec) -> PatientData:
 def parse_c_grid(text: str) -> list[float]:
     """Grid syntax: explicit list "a,b,c" or inclusive range "start:stop:step".
 
-    Range endpoints are included when they land on the grid within 1e-9.
+    Range endpoints are included when they land on the grid within 1e-9;
+    a range of more than MAX_C_GRID points raises DataFormatError.
     """
     text = text.strip()
     if ":" in text:
@@ -237,6 +240,8 @@ def parse_c_grid(text: str) -> list[float]:
         count = int(round(n_exact))
         if abs(start + count * step - stop) > 1e-9:
             count = int(math.floor(n_exact + 1e-12))
+        if count + 1 > MAX_C_GRID:
+            raise DataFormatError(f"bad c grid {text!r}: {count + 1} points, more than {MAX_C_GRID}")
         return [round(start + i * step, 12) for i in range(count + 1)]
     try:
         return [float(p) for p in text.split(",") if p.strip() != ""]
@@ -269,13 +274,8 @@ def load_params_file(path: str, spec: DagModelSpec) -> ParamVector:
         values = doc
     else:
         raise DataFormatError(f"{path}: cannot find coefficient values in this file")
-    numbers = {}
-    for name, value in values.items():
-        try:
-            numbers[str(name)] = float(value)
-        except (TypeError, ValueError):
-            raise DataFormatError(f"{path}: coefficient {name!r} must be a number, got {value!r}") from None
     try:
+        numbers = {str(name): _number(value, f"coefficient {name!r}") for name, value in values.items()}
         return ParamVector.for_spec(spec, numbers)
     except ModelConfigError as exc:
         raise DataFormatError(f"{path}: {exc}") from None

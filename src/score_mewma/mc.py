@@ -9,12 +9,19 @@ one numpy pass that reproduces ``SeedSequence``'s hashing, so its streams
 equal those of ``replication_rng``.
 
 Inside a chunk every active replication is one lane of a (lanes, p) array,
-and each loop iteration advances every lane a block of STEP patients:
+and each loop iteration advances every lane a block of n patients:
 scoring, the EWMA and T2 each take the whole block, a lane ends at its
 first crossing in it, and the steps computed past that are discarded.
-Lanes read their uniforms from blocks drawn per replication at each
-refill, of 16, 32, 64, 128 and then BUF patients, so the many short runs
-draw little; patient t still reads uniforms [(t-1)k, tk) of its stream.
+n is STEP while many lanes are active and doubles, up to BUF, while the
+block stays within LANE_STEPS lane-steps, so the few long runs left at the
+end of a chunk pay few loop iterations, and no block holds more
+lane-steps than STEP steps of a full CHUNK. Lanes read their uniforms from blocks drawn per
+replication at each refill, of 16, 32, 64, 128 and then BUF patients, so
+the many short runs draw little; patient t still reads uniforms
+[(t-1)k, tk) of its stream. Block length changes no lane's uniforms,
+EWMA recursion or T2 arithmetic, so results at equal smoothing do not
+depend on it; at unequal smoothing the BLAS product can move the last bits
+of a T2 value.
 A row map picks the active lanes' rows out of the block, so a resolved
 lane drops out without copying it. When a patient has at most ``_TYPE_LIMIT``
 bits, a step reads its rows from tables over the 2^k patient types:
@@ -51,7 +58,8 @@ from .model import CovariateModel, DagModelSpec, ParamVector, PatientData, node_
 
 CHUNK = 2048  # replications per work unit; fixed so thread count cannot matter
 BUF = 256  # most patients drawn per RNG call, amortizes generator overhead
-STEP = 16  # patients a lane advances per kernel iteration; divides every uniform block
+STEP = 16  # fewest patients a lane advances per kernel iteration; divides every uniform block
+LANE_STEPS = 8192  # a block of more than STEP steps stays within this many lane-steps
 _TYPE_LIMIT = 16  # most bits per patient for which the kernel scores from type tables
 
 ENV_THREADS = "SCORE_MEWMA_THREADS"
@@ -394,10 +402,10 @@ def _simulate_chunk(
     """Run one replication per generator to its first T2 above cap or max_rl.
 
     Every active replication is a lane, and each loop iteration advances
-    every lane STEP patients: ``sim.inputs`` gives the input rows of the
-    block's STEP x lanes patients in one call, the EWMA z_t = row_t + q
+    every lane n patients: ``sim.inputs`` gives the input rows of the
+    block's n x lanes patients in one call, the EWMA z_t = row_t + q
     z_{t-1} runs through the block one step at a time into that
-    (STEP, lanes, p) block with one preallocated temporary, and
+    (n, lanes, p) block with one preallocated temporary, and
     ``sim.t2`` takes the block's T2 in one call: a sum of squares of the
     whitened states with equal smoothing, else the evaluator's ``t2``.
     A lane ends at its first T2 above cap in the block, and
@@ -405,10 +413,15 @@ def _simulate_chunk(
     record highs in the block come from a running maximum cut off there,
     and a stable sort by replication keeps each replication's in time order.
 
+    n starts at STEP and doubles while the doubled block holds at most
+    LANE_STEPS lane-steps, up to BUF: 16 steps above 256 lanes, 256 at 32
+    lanes or fewer. It is then cut at the end of the uniform block.
+
     Each replication draws its patients from its own generator into one
     (lanes, rows, k) block of uniforms per refill, of 16, 32, 64, 128 and
-    then BUF rows, cut at max_rl, so a short run draws few. STEP divides
-    every block but a cut one, so no block of steps straddles a refill.
+    then BUF rows, cut at max_rl, so a short run draws few. A block of
+    steps ends at or before the end of the uniform block, so it never
+    straddles a refill.
     ``rows`` maps the active lanes to their rows of the block; it stays
     None, and steps read the block whole, until a lane resolves. A
     resolution shrinks only ``rows`` and the per-lane state; the next
@@ -432,7 +445,10 @@ def _simulate_chunk(
                 gens[a].random(out=buf[i])
             rows = None
             start, end, size = t0, t0 + buf.shape[1], min(2 * size, BUF)
-        n = min(STEP, end - t0)
+        n = STEP
+        while n < BUF and 2 * n * active.size <= LANE_STEPS:
+            n *= 2
+        n = min(n, end - t0)
         block = np.s_[t0 - start : t0 - start + n]
         zs = sim.inputs((buf[:, block] if rows is None else buf[rows, block]).transpose(1, 0, 2))
         qz_lanes = qz[: active.size]

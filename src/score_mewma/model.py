@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Mapping
 
@@ -470,9 +471,12 @@ class Model:
 
 def _number(value: Any, what: str) -> float:
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError):
         raise ModelConfigError(f"{what} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ModelConfigError(f"{what} must be finite, got {value!r}")
+    return number
 
 
 def _entries(value: Any, what: str) -> list:

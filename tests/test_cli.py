@@ -614,3 +614,64 @@ def test_non_finite_c_grid_range_exits_2(work, tmp_path, grid, capsys):
     err = capsys.readouterr().err
     assert f"bad c grid {grid!r}" in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_oversized_c_grid_range_exits_2_at_once(work, tmp_path, capsys):
+    root, model = work
+    out = tmp_path / "s.csv"
+    start = time.perf_counter()
+    assert run("study", model, model, "--shift", "coefficient", "--targets", "beta24",
+               "--c-grid", "0:1e12:1", "--h", 30, "-o", out) == 2
+    assert time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert f"bad c grid '0:1e12:1': 1000000000001 points, more than {fio.MAX_C_GRID}" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+_NON_FINITE = [float("inf"), float("nan"), "inf", "-inf", "nan"]
+_NON_FINITE_IDS = ["Infinity", "NaN", "text-inf", "text-minus-inf", "text-nan"]
+
+
+@pytest.mark.parametrize("value", _NON_FINITE, ids=_NON_FINITE_IDS)
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (lambda doc, v: doc["nodes"][1]["intercept"].update(value=v), "node Y2: intercept value must be finite"),
+        (
+            lambda doc, v: doc["nodes"][0]["process_parents"][0].update(value=v),
+            "node Y1: process_parents value of 'beta11' must be finite",
+        ),
+        (lambda doc, v: doc["covariates"][0].update(prevalence=v), "covariate 'X1': prevalence must be finite"),
+    ],
+    ids=["intercept", "parent", "prevalence"],
+)
+def test_non_finite_model_value_exits_2(work, tmp_path, edit, named, value, capsys):
+    """json.dumps writes inf and nan as JSON Infinity and NaN, which json.load reads back."""
+    root, model = work
+    data = tmp_path / "patients.csv"
+    assert run("simulate", model, model, "--n", 20, "-o", data) == 0
+    doc = json.loads(Path(model).read_text())
+    edit(doc, value)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run("simulate", bad, model, "--n", 5, "-o", tmp_path / "out.csv") == 2
+    assert run("monitor", bad, model, data, "--h", 10, "-o", tmp_path / "trace.csv") == 2
+    err = capsys.readouterr().err
+    assert err.count(named) == 2 and "Traceback" not in err
+    assert not (tmp_path / "out.csv").exists() and not (tmp_path / "trace.csv").exists()
+
+
+@pytest.mark.parametrize("value", _NON_FINITE, ids=_NON_FINITE_IDS)
+def test_non_finite_params_value_exits_2(work, tmp_path, value, capsys):
+    root, model = work
+    data = tmp_path / "patients.csv"
+    assert run("simulate", model, model, "--n", 20, "-o", data) == 0
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"params": {"alpha2": value}}))
+    capsys.readouterr()
+    assert run("simulate", model, params, "--n", 5, "-o", tmp_path / "out.csv") == 2
+    assert run("monitor", model, params, data, "--h", 10, "-o", tmp_path / "trace.csv") == 2
+    err = capsys.readouterr().err
+    assert err.count(f"{params}: coefficient 'alpha2' must be finite") == 2 and "Traceback" not in err
+    assert not (tmp_path / "out.csv").exists() and not (tmp_path / "trace.csv").exists()

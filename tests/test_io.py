@@ -27,6 +27,12 @@ def test_parse_c_grid_list_and_errors():
         fio.parse_c_grid("a,b")
 
 
+def test_parse_c_grid_caps_the_range_size():
+    assert len(fio.parse_c_grid(f"1:{fio.MAX_C_GRID}:1")) == fio.MAX_C_GRID
+    with pytest.raises(DataFormatError, match=f"{fio.MAX_C_GRID + 1} points, more than {fio.MAX_C_GRID}"):
+        fio.parse_c_grid(f"0:{fio.MAX_C_GRID}:1")
+
+
 def test_patient_csv_roundtrip(tmp_path, delivery):
     gen = sm.in_control_generator(delivery)
     data = sm.sample_patients(gen, 40, 3)

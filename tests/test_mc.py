@@ -535,3 +535,62 @@ def test_whitened_t2_equals_the_evaluator(delivery, mode):
     unequal = sm.ChartConfig(sigma_s=sigma, r=_UNEQUAL_R_CHART["r"], covariance_mode=mode)
     assert unequal.t2_evaluator.whitener() is None
     assert mc._CompiledSim(sm.in_control_generator(delivery), delivery.params, unequal, max_rl=100).whiten is None
+
+
+def _run_with_block_budget(monkeypatch, budget, *args, **kw):
+    """simulate_run_lengths with mc.LANE_STEPS set to budget; also returns
+    the step count of every block the kernel took T2 over."""
+    steps = []
+    t2 = mc._CompiledSim.t2
+
+    def counted(self, z, t0):
+        steps.append(z.shape[0])
+        return t2(self, z, t0)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(mc, "LANE_STEPS", budget)
+        patch.setattr(mc._CompiledSim, "t2", counted)
+        return simulate_run_lengths(*args, **kw), steps
+
+
+@pytest.mark.parametrize("reps, seeds", [(300, (35,)), (1, range(6))], ids=["chunk-300", "width-1"])
+@pytest.mark.parametrize("track", [True, False], ids=["tracked", "untracked"])
+@pytest.mark.parametrize(
+    "chart_kw",
+    [
+        dict(r=0.02, h=38.0),
+        dict(r=0.02, h=34.0, covariance_mode="asymptotic"),
+        dict(_UNEQUAL_R_CHART, h=44.0),
+    ],
+    ids=["exact", "asymptotic", "unequal-r"],
+)
+def test_block_length_changes_no_result(delivery, monkeypatch, chart_kw, track, reps, seeds):
+    """Every block STEP steps long, or every block run to the end of its
+    uniform block, gives the same run lengths, flags and records: bit for
+    bit with equal smoothing, and record values within rtol 1e-12 with
+    unequal smoothing, where T2 is a BLAS product whose last bits may follow
+    the block's shape. max_rl 503 cuts the last uniform block short."""
+    sigma = sm.expected_score_covariance(delivery.spec, delivery.params, delivery.covariates).values
+    config = sm.ChartConfig(sigma_s=sigma, warmup=21, **{"covariance_mode": "exact-recursive", **chart_kw})
+    gen = sm.in_control_generator(delivery)
+    max_rl = 503
+    for seed in seeds:
+        args = (gen, delivery.params, config, reps, max_rl, seed)
+        short, short_steps = _run_with_block_budget(monkeypatch, 0, *args, track_records=track)
+        long, long_steps = _run_with_block_budget(monkeypatch, 2**62, *args, track_records=track)
+        assert set(short_steps) <= {mc.STEP, max_rl - 496} and max(long_steps) > mc.STEP
+        assert len(long_steps) < len(short_steps)
+        np.testing.assert_array_equal(long.run_lengths, short.run_lengths)
+        np.testing.assert_array_equal(long.resolved, short.resolved)
+        assert (long.records is None) == (not track)
+        if not track:
+            continue
+        rep, times, values = long.records
+        np.testing.assert_array_equal(rep, short.records[0])
+        np.testing.assert_array_equal(times, short.records[1])
+        if config.equal_r:
+            np.testing.assert_array_equal(values, short.records[2])
+        else:
+            np.testing.assert_allclose(values, short.records[2], rtol=1e-12, atol=0)
+    if reps > 1:
+        assert (~long.resolved).any() and (long.resolved & (long.run_lengths > 21)).any()
