@@ -3,10 +3,10 @@
 Exit codes are stable: 0 ok, 2 input or parse problem (including a
 numerically singular chart covariance and a file that cannot be read or
 written), 3 fit failure (non-convergence or complete separation), 4
-calibration failure, 5 invalid shift, 141 the reader of standard output
-closed it. Every output file embeds a run manifest whose argv re-runs the
-command with byte-identical payload bytes on the same machine and BLAS
-kernel.
+calibration failure, 5 invalid shift, 130 interrupted (Ctrl-C), 141 the
+reader of standard output closed it. Every output file embeds a run
+manifest whose argv re-runs the command with byte-identical payload bytes
+on the same machine and BLAS kernel.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .likelihood import MIN_MC_SAMPLES, expected_score_covariance, fit_mle
-from .mc import PatientGenerator, sample_patients
+from .mc import PatientGenerator, sample_patients, shutdown_pool
 from .model import model_hash
 from .shifts import (
     MEAN_ODDS,
@@ -45,6 +45,7 @@ from .shifts import (
 )
 from .version import __version__
 
+EXIT_INTERRUPTED = 130  # 128 + SIGINT
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a process that signal ends
 
 
@@ -266,7 +267,8 @@ def _add_chart_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--sigma-samples", type=_int_at_least(MIN_MC_SAMPLES), default=MIN_MC_SAMPLES,
                    help=f"samples for --sigma-mode mc (at least {MIN_MC_SAMPLES})")
     p.add_argument("--threads", type=_int_at_least(0), default=None,
-                   help="worker threads, 0 for auto (default: SCORE_MEWMA_THREADS or auto)")
+                   help="worker processes, 0 for auto (default: SCORE_MEWMA_THREADS or auto); "
+                   "never changes a result")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -370,6 +372,10 @@ def main(argv=None) -> int:
     except BrokenPipeError:
         _stdout_to_devnull()
         return EXIT_BROKEN_PIPE
+    except KeyboardInterrupt:
+        shutdown_pool()  # workers ignore Ctrl-C; drop their queued chunks
+        _err("interrupted")
+        return EXIT_INTERRUPTED
     except OSError as exc:
         _err(f"{exc.filename}: {exc.strerror}" if exc.filename is not None else str(exc))
         return 2

@@ -2,11 +2,12 @@
 
 Every replication owns an independent RNG stream derived from
 (seed, replication index), so results do not depend on execution order,
-batching or thread count. Replications are processed in fixed-size chunks
-that a thread pool may pick up in any order; the per-replication numbers are
-identical either way. A chunk derives the seed words of all its streams in
-one numpy pass that reproduces ``SeedSequence``'s hashing, so its streams
-equal those of ``replication_rng``.
+batching or worker count. Replications are processed in fixed-size chunks,
+in process at one worker and otherwise on a persistent pool of forked
+worker processes that may pick them up in any order; the per-replication
+numbers are identical either way. A chunk derives the seed words of all its
+streams in one numpy pass that reproduces ``SeedSequence``'s hashing, so its
+streams equal those of ``replication_rng``.
 
 Inside a chunk every active replication is one lane of a (lanes, p) array,
 and each loop iteration advances every lane a block of n patients:
@@ -42,9 +43,16 @@ share of T2. With unequal smoothing a row is r * s and the EWMA takes
 from __future__ import annotations
 
 import math
+import multiprocessing
 import operator
 import os
-from concurrent.futures import ThreadPoolExecutor
+import pickle
+import signal
+import threading
+import time
+import warnings
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +64,7 @@ from .errors import ModelConfigError, ShiftError
 from .likelihood import score_rows
 from .model import CovariateModel, DagModelSpec, ParamVector, PatientData, node_designs, node_eta, type_bits
 
-CHUNK = 2048  # replications per work unit; fixed so thread count cannot matter
+CHUNK = 2048  # replications per work unit; fixed so worker count cannot matter
 BUF = 256  # most patients drawn per RNG call, amortizes generator overhead
 STEP = 16  # fewest patients a lane advances per kernel iteration; divides every uniform block
 LANE_STEPS = 8192  # a block of more than STEP steps stays within this many lane-steps
@@ -68,8 +76,9 @@ ENV_THREADS = "SCORE_MEWMA_THREADS"
 def resolve_threads(threads: int | None = None) -> int:
     """Worker count: explicit argument, else SCORE_MEWMA_THREADS, else auto (0).
 
-    A negative count, or an environment value that is not an integer,
-    raises ModelConfigError.
+    Auto is the number of CPUs this process may run on, at most 4. A
+    negative count, or an environment value that is not an integer, raises
+    ModelConfigError.
     """
     if threads is None:
         raw = os.environ.get(ENV_THREADS, "").strip() or "0"
@@ -79,8 +88,88 @@ def resolve_threads(threads: int | None = None) -> int:
     if threads < 0:
         raise ModelConfigError(f"threads must be non-negative, got {threads}")
     if threads == 0:
-        threads = min(os.cpu_count() or 1, 4)
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        threads = min(cpus or 1, 4)
     return int(threads)
+
+
+_pool = None  # (owner pid, worker count, executor, worker processes) of the running pool
+_pool_lock = threading.RLock()
+
+
+def _worker_init(parent: int) -> None:
+    """Workers leave Ctrl-C to the parent, which cancels their queued work,
+    and end soon after the parent, also when it was killed before it could
+    stop them."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGINT})
+    threading.Thread(target=_exit_after, args=(parent,), daemon=True).start()
+
+
+def _exit_after(parent: int) -> None:
+    while os.getppid() == parent:
+        time.sleep(0.5)
+    os._exit(1)
+
+
+def worker_pool(workers: int) -> ProcessPoolExecutor | None:
+    """The persistent pool of ``workers`` forked processes, started on first use.
+
+    None, and runs stay in process, at one worker or where ``fork`` is not
+    the platform's default start method. The pool is forked again when a
+    call asks for another worker count or one of its workers has died. A
+    caller that runs threads of its own starts the pool before them, so the
+    fork happens while no thread of the package runs.
+    """
+    global _pool
+    if workers <= 1 or multiprocessing.get_all_start_methods()[0] != "fork":
+        return None
+    with _pool_lock:
+        if _pool is not None:
+            owner, count, executor, procs = _pool
+            if owner == os.getpid() and count == workers and all(p.is_alive() for p in procs):
+                return executor
+            shutdown_pool()
+        before = set(multiprocessing.active_children())
+        context = multiprocessing.get_context("fork")
+        executor = ProcessPoolExecutor(workers, mp_context=context, initializer=_worker_init, initargs=(os.getpid(),))
+        # a Ctrl-C between a fork and the worker's initializer stays pending
+        # in the child, where the initializer discards it
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+        try:
+            with warnings.catch_warnings():
+                # Python 3.12+ warns about any fork in a process with more
+                # than one OS thread. Started before any thread of the
+                # package, the pool forks while the only other threads are
+                # OpenBLAS's idle pool (numpy starts one, scipy another),
+                # which re-initialises in the child through its
+                # pthread_atfork handler.
+                warnings.filterwarnings(
+                    "ignore", r"This process \(pid=\d+\) is multi-threaded, use of fork\(\)", DeprecationWarning
+                )
+                # one task per worker forks all of them now, where processes
+                # start on demand as well as where they start together
+                for future in [executor.submit(int) for _ in range(workers)]:
+                    future.result()
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        procs = [p for p in multiprocessing.active_children() if p not in before]
+        _pool = (os.getpid(), workers, executor, procs)
+        return executor
+
+
+def shutdown_pool(executor: ProcessPoolExecutor | None = None) -> None:
+    """Cancel the worker pool's queued chunks, wait for the running ones and
+    stop its workers; the next call that needs workers forks new ones.
+    Given an ``executor`` that is no longer the pool, do nothing."""
+    global _pool
+    with _pool_lock:
+        if _pool is None or executor not in (None, _pool[2]):
+            return
+        owner, _, running, _ = _pool
+        _pool = None
+        if owner == os.getpid():  # a forked child leaves its parent's pool alone
+            running.shutdown(wait=True, cancel_futures=True)
 
 
 def _seed_parts(seed) -> tuple[int, ...]:
@@ -286,8 +375,9 @@ class _CompiledSim:
     node, the generating mean of each of the 2^k patient types and the
     (2^k, p) table of their rows at params0; type i has bit j of i in
     column j of the ``[x | z | y]`` row. Taking the config's evaluator
-    builds it, which checks and inverts every Sigma_W,t before any thread
-    starts; the threads only read it.
+    builds it, which checks and inverts every Sigma_W,t in the calling
+    process; workers get the whole object pickled with each chunk and only
+    read it.
     """
 
     def __init__(self, generator: PatientGenerator, params0: ParamVector, config: ChartConfig, max_rl: int):
@@ -486,6 +576,16 @@ def _simulate_chunk(
     return np.where(resolved_t > 0, resolved_t, max_rl), resolved_t > 0, records
 
 
+def _run_chunk(sim: _CompiledSim, entropy, chunk: tuple[int, int], cap, max_rl, track_records):
+    """``_simulate_chunk`` over the streams of the (lo, n) chunk's replications."""
+    return _simulate_chunk(sim, _chunk_generators(entropy, *chunk), cap, max_rl, track_records)
+
+
+def _run_pickled_chunk(blob: bytes, *args):
+    """``_run_chunk`` in a worker, on the pickled simulation its task carries."""
+    return _run_chunk(pickle.loads(blob), *args)
+
+
 def simulate_run_lengths(
     generator: PatientGenerator,
     params0: ParamVector,
@@ -499,8 +599,10 @@ def simulate_run_lengths(
 ) -> RunLengthSample:
     """Simulate fresh patient streams and record first crossing times of T2.
 
-    ``cap`` defaults to the config's control limit. Identical seeds give
-    identical results for any thread count.
+    ``cap`` defaults to the config's control limit. With two or more
+    workers every chunk runs on the worker pool (``worker_pool``), and this
+    process only waits. Identical seeds give identical results for any
+    worker count.
     """
     if reps < 1:
         raise ModelConfigError("reps must be at least 1")
@@ -517,16 +619,22 @@ def simulate_run_lengths(
     entropy = _entropy_pool(_seed_parts(seed))
     sim = _CompiledSim(generator, params0, config, max_rl)
     chunks = [(lo, min(lo + CHUNK, reps) - lo) for lo in range(0, reps, CHUNK)]
-    workers = min(resolve_threads(threads), len(chunks))
-
-    def job(chunk):
-        return _simulate_chunk(sim, _chunk_generators(entropy, *chunk), cap, max_rl, track_records)
-
-    if workers <= 1:
-        results = [job(c) for c in chunks]
+    pool = worker_pool(resolve_threads(threads))
+    if pool is None:
+        results = [_run_chunk(sim, entropy, chunk, cap, max_rl, track_records) for chunk in chunks]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(job, chunks))
+        blob = pickle.dumps(sim, protocol=pickle.HIGHEST_PROTOCOL)
+        futures = []
+        try:
+            for chunk in chunks:
+                futures.append(pool.submit(_run_pickled_chunk, blob, entropy, chunk, cap, max_rl, track_records))
+            results = [f.result() for f in futures]
+        except BrokenProcessPool:
+            shutdown_pool(pool)  # the next call forks a fresh pool
+            raise
+        finally:
+            for f in futures:  # after an error or an interrupt, queued chunks need not run
+                f.cancel()
 
     run_lengths, resolved, chunk_records = zip(*results)
     records = None

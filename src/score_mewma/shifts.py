@@ -9,6 +9,7 @@ monitored patient (zero-state studies).
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,7 +18,7 @@ from scipy.special import expit
 from .calibrate import ArlResult, estimate_arl
 from .chart import ChartConfig
 from .errors import ShiftError
-from .mc import PatientGenerator, _seed_parts
+from .mc import PatientGenerator, _seed_parts, resolve_threads, shutdown_pool, worker_pool
 from .model import DagModelSpec, Model, ParamVector, enumerate_patients, node_designs, node_eta
 
 COEFFICIENT = "coefficient"
@@ -157,14 +158,38 @@ class StudyRow:
 
 
 def _run_cases(generator, params0, cases, chart, reps, max_rl, seed, threads) -> list[StudyRow]:
-    """One row per (shift template, c) case; case i is seeded (seed, i)."""
-    rows = []
+    """One row per (shift template, c) case; case i is seeded (seed, i).
+
+    With a worker pool the rows run side by side: one thread per worker
+    hands each row's chunks to the pool and waits for them. The pool and
+    the chart's T2 evaluator are made first, in the calling thread.
+    """
     base = _seed_parts(seed)
-    for i, (template, c) in enumerate(cases):
-        shifted = apply_shift(generator, template.with_c(c))
-        arl = estimate_arl(shifted, params0, chart, reps=reps, max_rl=max_rl, seed=base + (i,), threads=threads)
-        rows.append(StudyRow(shift_kind=template.kind, targets=template.targets, c=float(c), arl=arl))
-    return rows
+    shifted = [apply_shift(generator, template.with_c(c)) for template, c in cases]
+    workers = resolve_threads(threads)
+    chart.t2_evaluator  # built once here, not by the first rows side by side
+
+    def arl(i):
+        return estimate_arl(shifted[i], params0, chart, reps=reps, max_rl=max_rl, seed=base + (i,), threads=workers)
+
+    if worker_pool(workers) is None:
+        arls = [arl(i) for i in range(len(cases))]
+    else:
+        rows = ThreadPoolExecutor(workers)
+        try:
+            arls = list(rows.map(arl, range(len(cases))))
+        except BaseException:
+            # drop the rows not started and the chunks not running, so that
+            # an error or a Ctrl-C ends the study within one chunk
+            rows.shutdown(wait=False, cancel_futures=True)
+            shutdown_pool()
+            raise
+        finally:
+            rows.shutdown()
+    return [
+        StudyRow(shift_kind=template.kind, targets=template.targets, c=float(c), arl=result)
+        for (template, c), result in zip(cases, arls)
+    ]
 
 
 def run_arl_study(

@@ -2,7 +2,9 @@ import gc
 import hashlib
 import io
 import json
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -519,6 +521,59 @@ def test_monitor_piped_into_a_reader_that_stops_early(work, tmp_path):
     finally:
         proc.kill()
         proc.stderr.close()
+
+
+def _children(pid: int) -> set[int]:
+    """Pids of the processes whose parent is pid, read from /proc."""
+    found = set()
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue  # the process ended while it was read
+        if int(fields[1]) == pid:
+            found.add(int(stat.parent.name))
+    return found
+
+
+def _running(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def test_interrupted_study_exits_130_and_stops_its_workers(work, tmp_path):
+    """Ctrl-C reaches the whole process group: the workers ignore it, and
+    the CLI prints one line, stops its workers and exits 130."""
+    if multiprocessing.get_all_start_methods()[0] != "fork" or not Path("/proc/self/stat").is_file():
+        pytest.skip("needs forked workers and /proc")
+    root, model = work
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "score_mewma", "study", model, model, "--shift", "coefficient", "--targets",
+         "beta24", "--c-grid", "0:3:0.01", "--h", "40", "--reps", "2000", "--threads", "2",
+         "-o", str(tmp_path / "study.csv")],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while len(workers := _children(proc.pid)) < 2:
+            assert proc.poll() is None and time.monotonic() < deadline, "the study started no workers"
+            time.sleep(0.02)
+        time.sleep(0.2)  # into the rows
+        os.killpg(proc.pid, signal.SIGINT)
+        out, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.communicate()
+    assert proc.returncode == 130
+    assert "Traceback" not in err and err == "score-mewma: interrupted\n", err
+    assert out == "" and not (tmp_path / "study.csv").exists()
+    deadline = time.monotonic() + 10  # time for an orphan that has ended to be reaped
+    while any(_running(pid) for pid in workers):
+        assert time.monotonic() < deadline, f"workers {workers} outlived the interrupted study"
+        time.sleep(0.05)
 
 
 def test_directory_as_input_or_output_exits_2(work, tmp_path, capsys):

@@ -1,8 +1,10 @@
 import hashlib
+import multiprocessing
 import os
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -144,6 +146,18 @@ def test_resolve_threads_rejects_bad_counts(monkeypatch):
         monkeypatch.setenv("SCORE_MEWMA_THREADS", raw)
         with pytest.raises(sm.ModelConfigError, match="SCORE_MEWMA_THREADS"):
             sm.resolve_threads()
+
+
+def test_auto_worker_count_follows_the_cpus_this_process_may_use(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    assert sm.resolve_threads(0) == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    assert sm.resolve_threads(0) == 3
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert sm.resolve_threads(0) == 4
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert sm.resolve_threads(0) == 1
 
 
 @pytest.mark.parametrize(
@@ -373,7 +387,7 @@ def test_reps_beyond_one_spawn_word_raise_before_any_work(delivery, chart, monke
     def forbidden(*args, **kwargs):
         raise AssertionError("work started for an invalid reps")
 
-    for name in ("_CompiledSim", "_entropy_pool", "_chunk_generators", "ThreadPoolExecutor"):
+    for name in ("_CompiledSim", "_entropy_pool", "_chunk_generators", "worker_pool"):
         monkeypatch.setattr(mc, name, forbidden)
     gen = sm.in_control_generator(delivery)
     with pytest.raises(sm.ModelConfigError, match="2\\*\\*32"):
@@ -414,6 +428,36 @@ def test_study_run_lengths_are_pinned(delivery):
         threads=2,
     )
     assert _rows_digest(rows) == "9b0d966ca1d2b258a8902babd2efba038c5f4babdf21230334be4223b230266a"
+
+
+@pytest.mark.parametrize(
+    "chart_kw",
+    [
+        dict(_ACCEPTANCE_CHART, covariance_mode="exact-recursive"),
+        dict(_ACCEPTANCE_CHART, covariance_mode="asymptotic"),
+        dict(_UNEQUAL_R_CHART, h=44.0, covariance_mode="exact-recursive"),
+    ],
+    ids=["exact", "asymptotic", "unequal-r"],
+)
+def test_studies_are_worker_count_independent(delivery, chart_kw):
+    """Rows run side by side on two workers, or on more workers than this
+    machine may have cores, give the bytes of rows run one after another
+    in process."""
+    sigma = sm.expected_score_covariance(delivery.spec, delivery.params, delivery.covariates).values
+    chart = sm.ChartConfig(sigma_s=sigma, **chart_kw)
+    gen = sm.in_control_generator(delivery)
+    grid = sm.StudyGrid(
+        shift=sm.ShiftSpec("mean-odds", ("Y3",), 1.0), c_values=(1.0, 1.5, 3.0), reps=300, chart=chart, max_rl=600,
+    )
+    pair = dict(pairs=[("beta23", "beta24")], c_values=(0.0, 1.0), reps=200, chart=chart, seed=5, max_rl=600)
+    digests = {
+        threads: (
+            _rows_digest(sm.run_arl_study(gen, delivery.params, grid, seed=4, threads=threads)),
+            _rows_digest(sm.run_pair_study(gen, delivery.params, threads=threads, **pair)),
+        )
+        for threads in (1, 2, 4)
+    }
+    assert digests[1] == digests[2] == digests[4]
 
 
 def test_calibration_is_pinned(delivery):
@@ -539,7 +583,9 @@ def test_whitened_t2_equals_the_evaluator(delivery, mode):
 
 def _run_with_block_budget(monkeypatch, budget, *args, **kw):
     """simulate_run_lengths with mc.LANE_STEPS set to budget; also returns
-    the step count of every block the kernel took T2 over."""
+    the step count of every block the kernel took T2 over. It runs in
+    process: the patches hold only in this process, and a worker forked
+    while they are active would keep them."""
     steps = []
     t2 = mc._CompiledSim.t2
 
@@ -550,7 +596,7 @@ def _run_with_block_budget(monkeypatch, budget, *args, **kw):
     with monkeypatch.context() as patch:
         patch.setattr(mc, "LANE_STEPS", budget)
         patch.setattr(mc._CompiledSim, "t2", counted)
-        return simulate_run_lengths(*args, **kw), steps
+        return simulate_run_lengths(*args, threads=1, **kw), steps
 
 
 @pytest.mark.parametrize("reps, seeds", [(300, (35,)), (1, range(6))], ids=["chunk-300", "width-1"])
@@ -594,3 +640,80 @@ def test_block_length_changes_no_result(delivery, monkeypatch, chart_kw, track, 
             np.testing.assert_allclose(values, short.records[2], rtol=1e-12, atol=0)
     if reps > 1:
         assert (~long.resolved).any() and (long.resolved & (long.run_lengths > 21)).any()
+
+
+def _fork_pool_or_skip():
+    if multiprocessing.get_all_start_methods()[0] != "fork":
+        pytest.skip("workers are forked only where fork is the default start method")
+
+
+def test_a_killed_worker_is_replaced_by_the_next_call(delivery, chart):
+    _fork_pool_or_skip()
+    gen = sm.in_control_generator(delivery)
+    kw = dict(reps=2 * mc.CHUNK + 3, max_rl=200, seed=12, track_records=True)
+    expected = simulate_run_lengths(gen, delivery.params, chart, threads=1, **kw)
+    pool = mc.worker_pool(2)
+    victim = multiprocessing.active_children()[0]
+    os.kill(victim.pid, signal.SIGKILL)
+    deadline = time.monotonic() + 30
+    while victim.is_alive():
+        assert time.monotonic() < deadline, "the killed worker did not end"
+        time.sleep(0.01)
+    got = simulate_run_lengths(gen, delivery.params, chart, threads=2, **kw)
+    np.testing.assert_array_equal(got.run_lengths, expected.run_lengths)
+    np.testing.assert_array_equal(got.resolved, expected.resolved)
+    for a, b in zip(got.records, expected.records, strict=True):
+        np.testing.assert_array_equal(a, b)
+    assert victim not in multiprocessing.active_children() and mc.worker_pool(2) is not pool
+
+
+def test_workers_ignore_ctrl_c(delivery, chart):
+    """A Ctrl-C reaches the whole process group; the parent handles it, and
+    an idle worker must not end with a KeyboardInterrupt."""
+    _fork_pool_or_skip()
+    gen = sm.in_control_generator(delivery)
+    kw = dict(reps=300, max_rl=200, seed=13)
+    pool = mc.worker_pool(2)
+    workers = multiprocessing.active_children()
+    for worker in workers:
+        os.kill(worker.pid, signal.SIGINT)
+    time.sleep(0.2)
+    assert all(worker.is_alive() for worker in workers)
+    got = simulate_run_lengths(gen, delivery.params, chart, threads=2, **kw)
+    assert mc.worker_pool(2) is pool
+    expected = simulate_run_lengths(gen, delivery.params, chart, threads=1, **kw)
+    np.testing.assert_array_equal(got.run_lengths, expected.run_lengths)
+
+
+def _running(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("ending", ["exit", "sigkill"])
+def test_workers_end_with_their_process(ending):
+    """Workers end when their process exits, and also when it is killed
+    before it can stop them."""
+    _fork_pool_or_skip()
+    script = (
+        "import multiprocessing, os, signal\n"
+        "import score_mewma as sm\n"
+        "model = sm.default_delivery_model()\n"
+        "sigma = sm.expected_score_covariance(model.spec, model.params, model.covariates).values\n"
+        "chart = sm.ChartConfig(sigma_s=sigma, r=0.1, h=40.0)\n"
+        "sm.estimate_arl(sm.in_control_generator(model), model.params, chart, reps=50, max_rl=100, seed=1, threads=2)\n"
+        "print(*(p.pid for p in multiprocessing.active_children()), flush=True)\n"
+    )
+    if ending == "sigkill":
+        script += "os.kill(os.getpid(), signal.SIGKILL)\n"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == (0 if ending == "exit" else -signal.SIGKILL) and proc.stderr == "", proc.stderr
+    pids = [int(pid) for pid in proc.stdout.split()]
+    assert len(pids) == 2
+    deadline = time.monotonic() + 10  # time for an orphan that has ended to be reaped
+    while any(_running(pid) for pid in pids):
+        assert time.monotonic() < deadline, f"workers {pids} outlived their process"
+        time.sleep(0.05)
