@@ -112,15 +112,15 @@ def estimate_arl(
 ) -> ArlResult:
     """Zero-state ARL of the chart under the given generator.
 
-    Each replication draws a fresh patient stream from its own RNG stream and
-    runs until the first signal or max_rl (censored). With ``phase1_size``
-    set, every replication first refits the reference coefficients on a fresh
-    in-control sample of that size and monitors at the refitted values,
-    propagating estimation uncertainty into the run lengths. Replication
-    ``rep`` then draws its Phase-I sample and, after it, its monitored
-    patients from ``replication_rng(seed, rep)``, and runs on the same Monte
-    Carlo kernel as the plain estimate, one replication at a time, so
-    ``threads`` has no effect.
+    Replication ``rep`` draws its patients from its own counter-based
+    stream, ``replication_rng(seed, rep)``, and runs until the first signal
+    or max_rl (censored). With ``phase1_size`` set, every replication first
+    refits the reference coefficients on a fresh in-control sample of that
+    size and monitors at the refitted values, propagating estimation
+    uncertainty into the run lengths. The Phase-I sample takes the first
+    outputs of the replication's stream, and its monitored patients the
+    outputs after them, and it runs on the same Monte Carlo kernel as the
+    plain estimate, one replication at a time, so ``threads`` has no effect.
     """
     if config.h is None:
         raise ModelConfigError("config.h must be set to estimate an ARL")
@@ -143,12 +143,13 @@ def _estimate_arl_phase1(generator, params0, config, reps, max_rl, seed, phase1_
     run_lengths = np.full(reps, max_rl, dtype=np.int64)
     resolved = np.zeros(reps, dtype=bool)
     for rep in range(reps):
-        rng = replication_rng(seed, rep)
-        phase1 = sample_patients(in_control, phase1_size, rng)
+        stream = replication_rng(seed, rep)
+        phase1 = sample_patients(in_control, phase1_size, stream)
         fit = fit_mle(spec, phase1, params_init=params0)
         sigma = expected_score_covariance(spec, fit.params, generator.covariates).values
         sim = _CompiledSim(generator, fit.params, replace(config, sigma_s=sigma), max_rl)
-        rl, res, _ = _simulate_chunk(sim, [rng], config.h, max_rl, track_records=False)
+        key = np.array([stream.key], dtype=np.uint64)
+        rl, res, _ = _simulate_chunk(sim, key, stream.position, config.h, max_rl, track_records=False)
         run_lengths[rep], resolved[rep] = rl[0], res[0]
     return _summarize(run_lengths, resolved, max_rl)
 

@@ -1,34 +1,23 @@
 """Monte Carlo engine: patient generation and vectorized run-length simulation.
 
-Every replication owns an independent RNG stream derived from
-(seed, replication index), so results do not depend on execution order,
-batching or worker count. Replications are processed in fixed-size chunks,
-in process at one worker and otherwise on a persistent pool of forked
-worker processes that may pick them up in any order; the per-replication
-numbers are identical either way. A chunk derives the seed words of all its
-streams in one numpy pass that reproduces ``SeedSequence``'s hashing, so its
-streams equal those of ``replication_rng``.
+Replication ``rep`` of seed s reads SplitMix64 from a 64-bit key K(s, rep):
+output t is mix64(K + t * GAMMA mod 2^64), whose top 53 bits give a
+uniform, so patient t is a function of (s, rep, t) alone. Results do not
+depend on execution order, chunking, lane mates, max_rl or worker count.
+Replications run in fixed-size chunks, in process at one worker and
+otherwise on a persistent pool of forked worker processes.
 
-Inside a chunk every active replication is one lane of a (lanes, p) array,
-and each loop iteration advances every lane a block of n patients:
-scoring, the EWMA and T2 each take the whole block, a lane ends at its
-first crossing in it, and the steps computed past that are discarded.
-n is STEP while many lanes are active and doubles, up to BUF, while the
-block stays within LANE_STEPS lane-steps, so the few long runs left at the
-end of a chunk pay few loop iterations, and no block holds more
-lane-steps than STEP steps of a full CHUNK. Lanes read their uniforms from blocks drawn per
-replication at each refill, of 16, 32, 64, 128 and then BUF patients, so
-the many short runs draw little; patient t still reads uniforms
-[(t-1)k, tk) of its stream. Block length changes no lane's uniforms,
-EWMA recursion or T2 arithmetic, so results at equal smoothing do not
-depend on it; at unequal smoothing the BLAS product can move the last bits
-of a T2 value.
-A row map picks the active lanes' rows out of the block, so a resolved
-lane drops out without copying it. When a patient has at most ``_TYPE_LIMIT``
-bits, a step reads its rows from tables over the 2^k patient types:
-each node's generating mean and the EWMA input row of every type. Above the
-limit each patient is generated and scored on its own. Both paths do the
-same arithmetic per patient, so they give the same floats.
+Inside a chunk every active replication is one lane, and each loop
+iteration advances every lane a block of patients (``_simulate_chunk``):
+the block's uniforms come from one vectorized call, and scoring, the EWMA
+and T2 each take the whole block. Block length changes no lane's
+arithmetic, so results at equal smoothing do not depend on it; at unequal
+smoothing the BLAS product can move the last bits of a T2 value. With at
+most ``_TYPE_LIMIT`` bits a patient reads one uniform, which picks its
+type from the cumulative type probabilities, and its row from a table
+over the 2^k types; above it a patient reads k uniforms and is generated
+and scored on its own. A type's table row is the float its patient would
+get on its own.
 
 With equal smoothing r the EWMA runs in whitened coordinates. Sigma_W,t =
 f_t Sigma_S, so with the evaluator's factor W (W W' = Sigma_S^{-1}) the
@@ -56,7 +45,6 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 from scipy.special import expit
 
 from .chart import ChartConfig
@@ -65,8 +53,8 @@ from .likelihood import score_rows
 from .model import CovariateModel, DagModelSpec, ParamVector, PatientData, node_designs, node_eta, type_bits
 
 CHUNK = 2048  # replications per work unit; fixed so worker count cannot matter
-BUF = 256  # most patients drawn per RNG call, amortizes generator overhead
-STEP = 16  # fewest patients a lane advances per kernel iteration; divides every uniform block
+BUF = 256  # most patients a lane advances per kernel iteration
+STEP = 16  # fewest patients a lane advances per kernel iteration
 LANE_STEPS = 8192  # a block of more than STEP steps stays within this many lane-steps
 _TYPE_LIMIT = 16  # most bits per patient for which the kernel scores from type tables
 
@@ -186,97 +174,77 @@ def _seed_parts(seed) -> tuple[int, ...]:
     return parts
 
 
-def replication_rng(seed, rep: int) -> np.random.Generator:
-    """Independent stream for one replication of one experiment."""
-    ss = np.random.SeedSequence(entropy=list(_seed_parts(seed)), spawn_key=(int(rep),))
-    return np.random.Generator(np.random.PCG64(ss))
+GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's increment: the odd integer nearest 2^64 / golden ratio
+_MULT_A, _MULT_B = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB  # SplitMix64's finalizer
+_M64 = 2**64 - 1
 
 
-# numpy's SeedSequence hash constants; every word is a uint32
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_POOL = 4
+def _mix64_int(z: int) -> int:
+    """SplitMix64's finalizer of a Python int below 2^64."""
+    z = (z ^ z >> 30) * _MULT_A & _M64
+    z = (z ^ z >> 27) * _MULT_B & _M64
+    return z ^ z >> 31
 
 
-def _hashmix(value, hc: int, mult: int):
-    """SeedSequence's hashmix of a Python int or a uint32 array; returns the
-    hashed value and the next hash constant."""
-    hc_next = hc * mult & _MASK32
-    value = (value ^ hc) * hc_next & _MASK32
-    return value ^ (value >> 16), hc_next
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """``_mix64_int`` of every element of a uint64 array, in place; returns the array."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MULT_A)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MULT_B)
+    z ^= z >> np.uint64(31)
+    return z
 
 
-def _mix(x: int, y):
-    r = ((_MIX_L * x & _MASK32) - _MIX_R * y) & _MASK32
-    return r ^ (r >> 16)
+def _seed_key(seed) -> int:
+    """The seed's 64-bit key H(s): starting from GAMMA, each part's count of
+    64-bit words and then its words, low first, are xored in and mixed."""
+    h = GAMMA
+    for part in _seed_parts(seed):
+        words = [part & _M64]
+        while part >> 64 * len(words):
+            words.append(part >> 64 * len(words) & _M64)
+        for word in [len(words), *words]:
+            h = _mix64_int(h ^ word)
+    return h
 
 
-def _entropy_pool(parts: tuple[int, ...]) -> tuple[list[int], int]:
-    """SeedSequence's pool after mixing in the seed words, before the spawn
-    word, and the hash constant at that point; Python ints throughout."""
-    words = []
-    for part in parts:
-        while True:
-            words.append(part & _MASK32)
-            part >>= 32
-            if not part:
-                break
-    words += [0] * (_POOL - len(words))  # numpy pads the entropy when a spawn key follows
-    pool, hc = [], _INIT_A
-    for w in words[:_POOL]:
-        v, hc = _hashmix(w, hc, _MULT_A)
-        pool.append(v)
-    for i in range(_POOL):
-        for j in range(_POOL):
-            if i != j:
-                v, hc = _hashmix(pool[i], hc, _MULT_A)
-                pool[j] = _mix(pool[j], v)
-    for w in words[_POOL:]:
-        for j in range(_POOL):
-            v, hc = _hashmix(w, hc, _MULT_A)
-            pool[j] = _mix(pool[j], v)
-    return pool, hc
+def _replication_keys(seed_key: int, lo: int, n: int) -> np.ndarray:
+    """Keys of replications lo .. lo+n-1: K(s, rep) = mix64(H(s) + rep * GAMMA mod 2^64)."""
+    return _mix64(np.arange(lo, lo + n, dtype=np.uint64) * np.uint64(GAMMA) + np.uint64(seed_key))
 
 
-def _stream_states(entropy: tuple[list[int], int], lo: int, n: int) -> np.ndarray:
-    """(n, 4) uint64 PCG64 seed words of replications lo .. lo+n-1.
-
-    Row i equals ``SeedSequence(entropy=parts, spawn_key=(lo + i,))
-    .generate_state(4, np.uint64)`` for the parts that ``entropy`` was
-    built from. Needs lo + n <= 2**32, so the spawn key is one word.
-    """
-    pool, hc = entropy
-    rep = np.arange(lo, lo + n, dtype=np.uint32)
-    mixed = []
-    for x in pool:
-        v, hc = _hashmix(rep, hc, _MULT_A)
-        mixed.append(_mix(x, v))
-    words, hc = [], _INIT_B
-    for i in range(2 * _POOL):
-        v, hc = _hashmix(mixed[i % _POOL], hc, _MULT_B)
-        words.append(v)
-    return np.stack(words, axis=1).astype("<u4").view("<u8").astype(np.uint64)
+def _uniforms(keys: np.ndarray, after: int, n: int) -> np.ndarray:
+    """(n, len(keys)) uniforms in [0, 1): row i holds output after + i + 1
+    of every key's stream, whose top 53 bits over 2^53 give the uniform."""
+    counters = np.arange(after + 1, after + n + 1, dtype=np.uint64) * np.uint64(GAMMA)
+    return (_mix64(counters[:, None] + keys) >> np.uint64(11)) * 2.0**-53
 
 
-class _SeedWords(ISeedSequence):
-    """A seed sequence whose state is four precomputed uint64 words."""
+@dataclass
+class ReplicationStream:
+    """One replication's counter-based stream (SplitMix64 from state
+    ``key``): output t = 1, 2, ... is mix64(key + t * GAMMA mod 2^64), so
+    any output is read without the ones before it. ``position`` counts the
+    outputs read so far."""
 
-    __slots__ = ("words",)
+    key: int
+    position: int = 0
 
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
-            raise ValueError("precomputed seed words serve only generate_state(4, np.uint64)")
-        return self.words
+    def random(self, n: int) -> np.ndarray:
+        """The stream's next n uniforms."""
+        u = _uniforms(np.array([self.key], dtype=np.uint64), self.position, n)[:, 0]
+        self.position += n
+        return u
 
 
-def _chunk_generators(entropy: tuple[list[int], int], lo: int, n: int) -> list[np.random.Generator]:
-    """The streams of replications lo .. lo+n-1, equal to ``replication_rng``'s."""
-    return [np.random.Generator(np.random.PCG64(_SeedWords(w))) for w in _stream_states(entropy, lo, n)]
+def replication_rng(seed, rep: int) -> ReplicationStream:
+    """The stream of replication ``rep`` of ``seed``, at its start; the
+    kernel draws that replication's patients from the same outputs."""
+    rep = operator.index(rep)
+    if not 0 <= rep < 2**64:
+        raise ModelConfigError(f"rep must lie in [0, 2**64), got {rep}")
+    return ReplicationStream(int(_replication_keys(_seed_key(seed), rep, 1)[0]))
 
 
 def apply_mean_shift(kind: str, c: float, mu: np.ndarray) -> np.ndarray:
@@ -333,6 +301,22 @@ class _AncestralPass:
             mu = apply_mean_shift(*self.shift, mu)
         return mu, mu0
 
+    def type_law(self, types: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+        """For the (2^k, k) bit rows of every patient type: their cumulative
+        probabilities under the generator, divided by the last so that it is
+        exactly 1 (see ``_pick_types``), and per node the mean at params0 of
+        every type."""
+        probs = np.ones(types.shape[0])
+        for j, p in enumerate(self.p_cov):
+            probs *= np.where(types[:, j] == 1.0, p, 1.0 - p)
+        means0 = []
+        for vi, design in enumerate(self.designs):
+            mu, mu0 = self.node_means(vi, types)
+            probs *= np.where(types[:, design.out_col] == 1.0, mu, 1.0 - mu)
+            means0.append(mu0)
+        cdf = np.cumsum(probs)
+        return cdf / cdf[-1], means0
+
     def __call__(self, u: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         n_cov = self.p_cov.shape[0]
         bits = np.empty(u.shape)
@@ -345,18 +329,37 @@ class _AncestralPass:
         return bits, means
 
 
-def sample_patients(generator: PatientGenerator, n: int, rng) -> PatientData:
-    """Draw n patients by ancestral sampling; rng may be a Generator or seed.
+def _pick_types(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The type each uniform u < 1 picks: i with cdf[i-1] <= u < cdf[i], so
+    never a type of probability 0."""
+    return np.searchsorted(cdf, u, side="right")
 
-    Each patient consumes one row of k uniforms from ``rng``, laid out
-    ``[x | z | y]``; a covariate or outcome is 1 when its uniform is below
-    its probability (its mean response for an outcome, after any mean shift).
+
+def sample_patients(generator: PatientGenerator, n: int, rng) -> PatientData:
+    """Draw n patients; rng is a ``ReplicationStream``, a Generator or a seed.
+
+    From a stream they are the patients the kernel draws from it, and the
+    stream advances past them: with at most ``_TYPE_LIMIT`` bits a patient
+    reads one uniform, which picks its type from the cumulative type
+    probabilities (``_pick_types``). Above the limit, and from a Generator
+    or a seed, a patient reads k uniforms laid out ``[x | z | y]``; a
+    covariate or outcome is 1 when its uniform is below its probability
+    (its mean response for an outcome, after any mean shift).
     """
     if n < 1:
         raise ModelConfigError("n must be at least 1")
-    rng = np.random.default_rng(rng)  # a Generator is returned unaltered
     spec = generator.spec
-    bits, _ = _AncestralPass(generator, generator.params)(rng.random((n, sum(spec.widths))))
+    k = sum(spec.widths)
+    sample = _AncestralPass(generator, generator.params)
+    if not isinstance(rng, ReplicationStream):
+        u = np.random.default_rng(rng).random((n, k))  # a Generator is returned unaltered
+    elif k <= _TYPE_LIMIT:
+        types = type_bits(k)
+        cdf, _ = sample.type_law(types)
+        return PatientData.from_bits(spec, types[_pick_types(cdf, rng.random(n))])
+    else:
+        u = rng.random(n * k).reshape(n, k)
+    bits, _ = sample(u)
     return PatientData.from_bits(spec, bits)
 
 
@@ -371,10 +374,13 @@ class _CompiledSim:
     With equal smoothing r, ``whiten`` is r W for the evaluator's factor W,
     the kernel's input rows are the whitened r s W and ``q`` is the scalar
     1 - r; otherwise ``whiten`` is None, the rows are r * s and ``q`` is the
-    vector 1 - r. With k <= _TYPE_LIMIT bits per patient it holds, per
-    node, the generating mean of each of the 2^k patient types and the
-    (2^k, p) table of their rows at params0; type i has bit j of i in
-    column j of the ``[x | z | y]`` row. Taking the config's evaluator
+    vector 1 - r. With k <= _TYPE_LIMIT bits per patient it holds the
+    cumulative probabilities ``cdf`` of the 2^k patient types under the
+    generator and the (2^k, p) ``table`` of their rows at params0; type i
+    has bit j of i in column j of the ``[x | z | y]`` row. ``draws`` is the
+    number of stream outputs a patient reads: 1 with the tables, else k.
+    The tables depend on the generator and params0 alone, so they are built
+    once per simulation, not per chunk. Taking the config's evaluator
     builds it, which checks and inverts every Sigma_W,t in the calling
     process; workers get the whole object pickled with each chunk and only
     read it.
@@ -394,13 +400,13 @@ class _CompiledSim:
             self.whiten = self.r_vec[0] * whitener
             # each row's first nonzero column; W is lower triangular, so row j ends at column j
             self.starts = (whitener != 0).argmax(axis=1).tolist()
-        self.table = None
+        self.table = self.cdf = None
+        self.draws = self.k  # stream outputs each patient reads
         if self.k <= _TYPE_LIMIT:
             types = type_bits(self.k)
-            means = [self.sample.node_means(vi, types) for vi in range(len(self.sample.designs))]
-            self.type_means = [mu for mu, _ in means]
-            self.prevalences = [float(p) for p in self.sample.p_cov]  # Python floats compare faster
-            self.table = self._from_scores(score_rows(self.sample.designs, types, [mu0 for _, mu0 in means]))
+            self.cdf, means0 = self.sample.type_law(types)
+            self.table = self._from_scores(score_rows(self.sample.designs, types, means0))
+            self.draws = 1
 
     def _from_scores(self, s: np.ndarray) -> np.ndarray:
         """Input rows of an (n, p) score matrix: r * s, or s @ whiten summed
@@ -414,17 +420,14 @@ class _CompiledSim:
             out[lo : j + 1] += self.whiten[j, lo : j + 1, None] * s[:, j]
         return out.T.copy()
 
-    def inputs(self, u: np.ndarray) -> np.ndarray:
-        """(..., p) input rows of the patients drawn from a (..., k) block of uniforms."""
-        if self.table is None:
-            bits, means = self.sample(u.reshape(-1, self.k))
-            return self._from_scores(score_rows(self.sample.designs, bits, means)).reshape(*u.shape[:-1], -1)
-        typ = np.zeros(u.shape[:-1], dtype=np.int64)
-        for j, prevalence in enumerate(self.prevalences):
-            typ |= (u[..., j] < prevalence) << j
-        for design, mu in zip(self.sample.designs, self.type_means):
-            typ |= (u[..., design.out_col] < mu[typ]) << design.out_col
-        return self.table.take(typ, axis=0)
+    def inputs(self, keys: np.ndarray, after: int, n: int) -> np.ndarray:
+        """(n, lanes, p) input rows of the next n patients of each key's
+        stream, of which ``after`` outputs are read."""
+        if self.table is not None:
+            return self.table.take(_pick_types(self.cdf, _uniforms(keys, after, n)), axis=0)
+        u = _uniforms(keys, after, n * self.k).reshape(n, self.k, -1).transpose(0, 2, 1)
+        bits, means = self.sample(u.reshape(-1, self.k))
+        return self._from_scores(score_rows(self.sample.designs, bits, means)).reshape(n, keys.size, -1)
 
     def t2(self, z: np.ndarray, t0: int) -> np.ndarray:
         """T2 of a (steps, lanes, p) block of EWMA states at steps t0 + 1, t0 + 2, ..."""
@@ -484,63 +487,49 @@ class RunLengthSample:
 
 def _simulate_chunk(
     sim: _CompiledSim,
-    gens: list[np.random.Generator],
+    keys: np.ndarray,
+    start: int,
     cap: float,
     max_rl: int,
     track_records: bool,
 ):
-    """Run one replication per generator to its first T2 above cap or max_rl.
+    """Run one replication per stream key to its first T2 above cap or max_rl.
 
-    Every active replication is a lane, and each loop iteration advances
-    every lane n patients: ``sim.inputs`` gives the input rows of the
-    block's n x lanes patients in one call, the EWMA z_t = row_t + q
-    z_{t-1} runs through the block one step at a time into that
-    (n, lanes, p) block with one preallocated temporary, and
-    ``sim.t2`` takes the block's T2 in one call: a sum of squares of the
-    whitened states with equal smoothing, else the evaluator's ``t2``.
-    A lane ends at its first T2 above cap in the block, and
-    the steps computed past it are discarded; under ``track_records`` its
-    record highs in the block come from a running maximum cut off there,
-    and a stable sort by replication keeps each replication's in time order.
+    Each stream is read from output ``start`` + 1 on. Every active
+    replication is a lane, and each loop iteration advances every lane n
+    patients: ``sim.inputs`` draws the block's n x lanes patients and gives
+    their input rows in one call, the EWMA z_t = row_t + q z_{t-1} runs
+    through the block one step at a time into that (n, lanes, p) block with
+    one preallocated temporary, and ``sim.t2`` takes the block's T2 in one
+    call: a sum of squares of the whitened states with equal smoothing,
+    else the evaluator's ``t2``. A lane ends at its first T2 above cap in
+    the block, and the steps computed past it are discarded; under
+    ``track_records`` its record highs in the block come from a running
+    maximum cut off there, and a stable sort by replication keeps each
+    replication's in time order.
 
     n starts at STEP and doubles while the doubled block holds at most
     LANE_STEPS lane-steps, up to BUF: 16 steps above 256 lanes, 256 at 32
-    lanes or fewer. It is then cut at the end of the uniform block.
-
-    Each replication draws its patients from its own generator into one
-    (lanes, rows, k) block of uniforms per refill, of 16, 32, 64, 128 and
-    then BUF rows, cut at max_rl, so a short run draws few. A block of
-    steps ends at or before the end of the uniform block, so it never
-    straddles a refill.
-    ``rows`` maps the active lanes to their rows of the block; it stays
-    None, and steps read the block whole, until a lane resolves. A
-    resolution shrinks only ``rows`` and the per-lane state; the next
-    refill draws for the active lanes alone.
+    lanes or fewer. So the few long runs left at the end of a chunk pay few
+    loop iterations, and no block holds more lane-steps than STEP steps of
+    a full CHUNK. n is then cut to the patients done, if more than STEP, so
+    a short run computes few steps past its end, and at max_rl.
     """
-    n_reps = len(gens)
+    n_reps = keys.size
     active = np.arange(n_reps)
     z = np.zeros((n_reps, sim.r_vec.shape[0]))
     qz = np.empty_like(z)  # q * z of one step, in its first len(active) rows
     rec = np.full(n_reps, -np.inf)
     resolved_t = np.zeros(n_reps, dtype=np.int64)
     highs = []  # per block, the (replication, time, value) arrays of its record highs
-    buf = rows = None
-    t0 = start = end = 0  # patients done; first and end patient of the uniform block
-    size = STEP
+    t0 = 0  # patients done
 
     while t0 < max_rl:
-        if t0 == end:
-            buf = np.empty((active.size, min(size, max_rl - t0), sim.k))
-            for i, a in enumerate(active):
-                gens[a].random(out=buf[i])
-            rows = None
-            start, end, size = t0, t0 + buf.shape[1], min(2 * size, BUF)
         n = STEP
         while n < BUF and 2 * n * active.size <= LANE_STEPS:
             n *= 2
-        n = min(n, end - t0)
-        block = np.s_[t0 - start : t0 - start + n]
-        zs = sim.inputs((buf[:, block] if rows is None else buf[rows, block]).transpose(1, 0, 2))
+        n = min(n, max(t0, STEP), max_rl - t0)
+        zs = sim.inputs(keys[active], start + t0 * sim.draws, n)
         qz_lanes = qz[: active.size]
         for j in range(n):
             zj = zs[j]
@@ -563,7 +552,6 @@ def _simulate_chunk(
             active = active[keep]
             z = z[keep]
             rec = rec[keep]
-            rows = np.flatnonzero(keep) if rows is None else rows[keep]
             if active.size == 0:
                 break
         t0 += n
@@ -576,9 +564,9 @@ def _simulate_chunk(
     return np.where(resolved_t > 0, resolved_t, max_rl), resolved_t > 0, records
 
 
-def _run_chunk(sim: _CompiledSim, entropy, chunk: tuple[int, int], cap, max_rl, track_records):
+def _run_chunk(sim: _CompiledSim, seed_key: int, chunk: tuple[int, int], cap, max_rl, track_records):
     """``_simulate_chunk`` over the streams of the (lo, n) chunk's replications."""
-    return _simulate_chunk(sim, _chunk_generators(entropy, *chunk), cap, max_rl, track_records)
+    return _simulate_chunk(sim, _replication_keys(seed_key, *chunk), 0, cap, max_rl, track_records)
 
 
 def _run_pickled_chunk(blob: bytes, *args):
@@ -616,18 +604,18 @@ def simulate_run_lengths(
         raise ModelConfigError("either config.h or an explicit cap is required")
     if math.isnan(cap):
         raise ModelConfigError("cap must be a number, got nan")
-    entropy = _entropy_pool(_seed_parts(seed))
+    seed_key = _seed_key(seed)
     sim = _CompiledSim(generator, params0, config, max_rl)
     chunks = [(lo, min(lo + CHUNK, reps) - lo) for lo in range(0, reps, CHUNK)]
     pool = worker_pool(resolve_threads(threads))
     if pool is None:
-        results = [_run_chunk(sim, entropy, chunk, cap, max_rl, track_records) for chunk in chunks]
+        results = [_run_chunk(sim, seed_key, chunk, cap, max_rl, track_records) for chunk in chunks]
     else:
         blob = pickle.dumps(sim, protocol=pickle.HIGHEST_PROTOCOL)
         futures = []
         try:
             for chunk in chunks:
-                futures.append(pool.submit(_run_pickled_chunk, blob, entropy, chunk, cap, max_rl, track_records))
+                futures.append(pool.submit(_run_pickled_chunk, blob, seed_key, chunk, cap, max_rl, track_records))
             results = [f.result() for f in futures]
         except BrokenProcessPool:
             shutdown_pool(pool)  # the next call forks a fresh pool
