@@ -22,6 +22,7 @@ from .mc import (
     _CompiledSim,
     _seed_parts,
     _simulate_chunk,
+    _type_law,
     replication_rng,
     sample_patients,
     simulate_run_lengths,
@@ -140,14 +141,19 @@ def _estimate_arl_phase1(generator, params0, config, reps, max_rl, seed, phase1_
         raise ModelConfigError("phase1_size must be at least 1")
     spec = generator.spec
     in_control = PatientGenerator(spec=spec, params=params0, covariates=generator.covariates)
+    # a type law depends on its generator alone, so each is built once per
+    # call, and only once when the monitored patients follow the in-control law
+    law = _type_law(in_control)
+    same = generator.mu_shift is None and np.array_equal(generator.params.values, params0.values)
+    monitored_law = law if same else _type_law(generator)
     run_lengths = np.full(reps, max_rl, dtype=np.int64)
     resolved = np.zeros(reps, dtype=bool)
     for rep in range(reps):
         stream = replication_rng(seed, rep)
-        phase1 = sample_patients(in_control, phase1_size, stream)
+        phase1 = sample_patients(in_control, phase1_size, stream, _law=law)
         fit = fit_mle(spec, phase1, params_init=params0)
         sigma = expected_score_covariance(spec, fit.params, generator.covariates).values
-        sim = _CompiledSim(generator, fit.params, replace(config, sigma_s=sigma), max_rl)
+        sim = _CompiledSim(generator, fit.params, replace(config, sigma_s=sigma), max_rl, law=monitored_law)
         key = np.array([stream.key], dtype=np.uint64)
         rl, res, _ = _simulate_chunk(sim, key, stream.position, config.h, max_rl, track_records=False)
         run_lengths[rep], resolved[rep] = rl[0], res[0]

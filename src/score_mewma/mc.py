@@ -13,11 +13,14 @@ the block's uniforms come from one vectorized call, and scoring, the EWMA
 and T2 each take the whole block. Block length changes no lane's
 arithmetic, so results at equal smoothing do not depend on it; at unequal
 smoothing the BLAS product can move the last bits of a T2 value. With at
-most ``_TYPE_LIMIT`` bits a patient reads one uniform, which picks its
-type from the cumulative type probabilities, and its row from a table
+most ``_TYPE_LIMIT`` bits a patient reads one output, whose uniform picks
+its type from the cumulative type probabilities, and its row from a table
 over the 2^k types; above it a patient reads k uniforms and is generated
 and scored on its own. A type's table row is the float its patient would
-get on its own.
+get on its own. The type is found by a guide table over the top
+``_GUIDE_BITS`` bits of the output, which gives the type the binary search
+over the cumulative probabilities gives for every output; only an output
+whose bucket holds a cumulative probability goes on to that search.
 
 With equal smoothing r the EWMA runs in whitened coordinates. Sigma_W,t =
 f_t Sigma_S, so with the evaluator's factor W (W W' = Sigma_S^{-1}) the
@@ -57,6 +60,7 @@ BUF = 256  # most patients a lane advances per kernel iteration
 STEP = 16  # fewest patients a lane advances per kernel iteration
 LANE_STEPS = 8192  # a block of more than STEP steps stays within this many lane-steps
 _TYPE_LIMIT = 16  # most bits per patient for which the kernel scores from type tables
+_GUIDE_BITS = 12  # a type guide table has 2^12 buckets, read at an output's top 12 bits
 
 ENV_THREADS = "SCORE_MEWMA_THREADS"
 
@@ -214,11 +218,21 @@ def _replication_keys(seed_key: int, lo: int, n: int) -> np.ndarray:
     return _mix64(np.arange(lo, lo + n, dtype=np.uint64) * np.uint64(GAMMA) + np.uint64(seed_key))
 
 
-def _uniforms(keys: np.ndarray, after: int, n: int) -> np.ndarray:
-    """(n, len(keys)) uniforms in [0, 1): row i holds output after + i + 1
-    of every key's stream, whose top 53 bits over 2^53 give the uniform."""
+def _outputs(keys: np.ndarray, after: int, n: int) -> np.ndarray:
+    """(n, len(keys)) stream outputs: row i holds output after + i + 1 of
+    every key's stream."""
     counters = np.arange(after + 1, after + n + 1, dtype=np.uint64) * np.uint64(GAMMA)
-    return (_mix64(counters[:, None] + keys) >> np.uint64(11)) * 2.0**-53
+    return _mix64(counters[:, None] + keys)
+
+
+def _to_uniforms(x: np.ndarray) -> np.ndarray:
+    """The uniform in [0, 1) of each stream output: its top 53 bits over 2^53."""
+    return (x >> np.uint64(11)) * 2.0**-53
+
+
+def _uniforms(keys: np.ndarray, after: int, n: int) -> np.ndarray:
+    """``_outputs`` as uniforms."""
+    return _to_uniforms(_outputs(keys, after, n))
 
 
 @dataclass
@@ -231,11 +245,15 @@ class ReplicationStream:
     key: int
     position: int = 0
 
+    def _next(self, n: int) -> np.ndarray:
+        """The stream's next n outputs."""
+        x = _outputs(np.array([self.key], dtype=np.uint64), self.position, n)[:, 0]
+        self.position += n
+        return x
+
     def random(self, n: int) -> np.ndarray:
         """The stream's next n uniforms."""
-        u = _uniforms(np.array([self.key], dtype=np.uint64), self.position, n)[:, 0]
-        self.position += n
-        return u
+        return _to_uniforms(self._next(n))
 
 
 def replication_rng(seed, rep: int) -> ReplicationStream:
@@ -301,21 +319,22 @@ class _AncestralPass:
             mu = apply_mean_shift(*self.shift, mu)
         return mu, mu0
 
-    def type_law(self, types: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    def type_cdf(self, types: np.ndarray) -> np.ndarray:
         """For the (2^k, k) bit rows of every patient type: their cumulative
         probabilities under the generator, divided by the last so that it is
-        exactly 1 (see ``_pick_types``), and per node the mean at params0 of
-        every type."""
+        exactly 1 (see ``_pick_types``)."""
         probs = np.ones(types.shape[0])
         for j, p in enumerate(self.p_cov):
             probs *= np.where(types[:, j] == 1.0, p, 1.0 - p)
-        means0 = []
         for vi, design in enumerate(self.designs):
-            mu, mu0 = self.node_means(vi, types)
+            mu, _ = self.node_means(vi, types)
             probs *= np.where(types[:, design.out_col] == 1.0, mu, 1.0 - mu)
-            means0.append(mu0)
         cdf = np.cumsum(probs)
-        return cdf / cdf[-1], means0
+        return cdf / cdf[-1]
+
+    def means0(self, bits: np.ndarray) -> list[np.ndarray]:
+        """Per node, the mean at params0 of every row of bits."""
+        return [expit(node_eta(d, theta, bits)) for d, theta in zip(self.designs, self.theta0)]
 
     def __call__(self, u: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         n_cov = self.p_cov.shape[0]
@@ -335,31 +354,71 @@ def _pick_types(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.searchsorted(cdf, u, side="right")
 
 
-def sample_patients(generator: PatientGenerator, n: int, rng) -> PatientData:
+def _type_guide(cdf: np.ndarray) -> np.ndarray:
+    """The guide table of ``cdf`` (Chen's cutpoint method), int32.
+
+    Bucket b holds the uniforms in [b, b + 1) / 2^_GUIDE_BITS. Its entry is
+    the type that ``_pick_types`` gives every one of them, the count of
+    cdf entries at or below b / 2^_GUIDE_BITS, or -1 where a cdf entry lies
+    strictly inside the bucket. Scaling by a power of two is exact, so an
+    entry whose scaled value is not an integer lies inside the bucket below
+    its ceiling.
+    """
+    size = 1 << _GUIDE_BITS
+    scaled = cdf * size
+    cut = np.ceil(scaled).astype(np.intp)
+    guide = np.cumsum(np.bincount(cut, minlength=size + 1)[:size]).astype(np.int32)
+    guide[cut[cut != scaled] - 1] = -1
+    return guide
+
+
+def _guided_types(cdf: np.ndarray, guide: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The type each stream output x picks, equal to ``_pick_types`` of its
+    uniform: the guide entry of its top ``_GUIDE_BITS`` bits, which give
+    the uniform's bucket, and the binary search where that entry is -1."""
+    types = guide.take((x >> np.uint64(64 - _GUIDE_BITS)).view(np.int64))
+    split = np.flatnonzero(types < 0)
+    if split.size:
+        types.reshape(-1)[split] = _pick_types(cdf, _to_uniforms(x.reshape(-1)[split]))
+    return types
+
+
+def _type_law(generator: PatientGenerator) -> tuple[np.ndarray, np.ndarray] | None:
+    """The cumulative type probabilities under the generator and their guide
+    table; None above ``_TYPE_LIMIT`` bits."""
+    k = sum(generator.spec.widths)
+    if k > _TYPE_LIMIT:
+        return None
+    cdf = _AncestralPass(generator, generator.params).type_cdf(type_bits(k))
+    return cdf, _type_guide(cdf)
+
+
+def sample_patients(generator: PatientGenerator, n: int, rng, *, _law=None) -> PatientData:
     """Draw n patients; rng is a ``ReplicationStream``, a Generator or a seed.
 
     From a stream they are the patients the kernel draws from it, and the
     stream advances past them: with at most ``_TYPE_LIMIT`` bits a patient
-    reads one uniform, which picks its type from the cumulative type
-    probabilities (``_pick_types``). Above the limit, and from a Generator
-    or a seed, a patient reads k uniforms laid out ``[x | z | y]``; a
-    covariate or outcome is 1 when its uniform is below its probability
-    (its mean response for an outcome, after any mean shift).
+    reads one output, which picks its type from the cumulative type
+    probabilities through their guide table (``_guided_types``), the type
+    the binary search would pick from the output's uniform. ``_law``, the
+    generator's ``_type_law`` built beforehand, saves building it again.
+    Above the limit, and from a Generator or a seed, a patient reads k
+    uniforms laid out ``[x | z | y]``; a covariate or outcome is 1 when its
+    uniform is below its probability (its mean response for an outcome,
+    after any mean shift).
     """
     if n < 1:
         raise ModelConfigError("n must be at least 1")
     spec = generator.spec
     k = sum(spec.widths)
-    sample = _AncestralPass(generator, generator.params)
     if not isinstance(rng, ReplicationStream):
         u = np.random.default_rng(rng).random((n, k))  # a Generator is returned unaltered
-    elif k <= _TYPE_LIMIT:
-        types = type_bits(k)
-        cdf, _ = sample.type_law(types)
-        return PatientData.from_bits(spec, types[_pick_types(cdf, rng.random(n))])
     else:
+        law = _type_law(generator) if _law is None else _law
+        if law is not None:
+            return PatientData.from_bits(spec, type_bits(k)[_guided_types(*law, rng._next(n))])
         u = rng.random(n * k).reshape(n, k)
-    bits, _ = sample(u)
+    bits, _ = _AncestralPass(generator, generator.params)(u)
     return PatientData.from_bits(spec, bits)
 
 
@@ -376,17 +435,23 @@ class _CompiledSim:
     1 - r; otherwise ``whiten`` is None, the rows are r * s and ``q`` is the
     vector 1 - r. With k <= _TYPE_LIMIT bits per patient it holds the
     cumulative probabilities ``cdf`` of the 2^k patient types under the
-    generator and the (2^k, p) ``table`` of their rows at params0; type i
-    has bit j of i in column j of the ``[x | z | y]`` row. ``draws`` is the
-    number of stream outputs a patient reads: 1 with the tables, else k.
-    The tables depend on the generator and params0 alone, so they are built
-    once per simulation, not per chunk. Taking the config's evaluator
+    generator, their ``guide`` table (``_type_guide``), through which a
+    patient's output finds the type the binary search over ``cdf`` would
+    pick, and the (2^k, p) ``table`` of their rows at params0; type i has
+    bit j of i in column j of the ``[x | z | y]`` row. ``law``, the
+    generator's ``_type_law`` built beforehand, saves building ``cdf`` and
+    ``guide`` again. ``draws`` is the number of stream outputs a patient
+    reads: 1 with the tables, else k. The tables depend on the generator
+    and params0 alone, so they are built once per simulation, not per
+    chunk. Taking the config's evaluator
     builds it, which checks and inverts every Sigma_W,t in the calling
     process; workers get the whole object pickled with each chunk and only
     read it.
     """
 
-    def __init__(self, generator: PatientGenerator, params0: ParamVector, config: ChartConfig, max_rl: int):
+    def __init__(
+        self, generator: PatientGenerator, params0: ParamVector, config: ChartConfig, max_rl: int, law=None
+    ):
         self.sample = _AncestralPass(generator, params0)
         self.k = sum(generator.spec.widths)
         self.r_vec = config.r_vec
@@ -400,12 +465,12 @@ class _CompiledSim:
             self.whiten = self.r_vec[0] * whitener
             # each row's first nonzero column; W is lower triangular, so row j ends at column j
             self.starts = (whitener != 0).argmax(axis=1).tolist()
-        self.table = self.cdf = None
+        self.table = self.cdf = self.guide = None
         self.draws = self.k  # stream outputs each patient reads
         if self.k <= _TYPE_LIMIT:
             types = type_bits(self.k)
-            self.cdf, means0 = self.sample.type_law(types)
-            self.table = self._from_scores(score_rows(self.sample.designs, types, means0))
+            self.cdf, self.guide = _type_law(generator) if law is None else law
+            self.table = self._from_scores(score_rows(self.sample.designs, types, self.sample.means0(types)))
             self.draws = 1
 
     def _from_scores(self, s: np.ndarray) -> np.ndarray:
@@ -424,7 +489,7 @@ class _CompiledSim:
         """(n, lanes, p) input rows of the next n patients of each key's
         stream, of which ``after`` outputs are read."""
         if self.table is not None:
-            return self.table.take(_pick_types(self.cdf, _uniforms(keys, after, n)), axis=0)
+            return self.table.take(_guided_types(self.cdf, self.guide, _outputs(keys, after, n)), axis=0)
         u = _uniforms(keys, after, n * self.k).reshape(n, self.k, -1).transpose(0, 2, 1)
         bits, means = self.sample(u.reshape(-1, self.k))
         return self._from_scores(score_rows(self.sample.designs, bits, means)).reshape(n, keys.size, -1)

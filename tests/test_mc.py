@@ -154,6 +154,84 @@ def test_a_type_of_probability_zero_is_never_drawn(delivery, chart):
         assert sample.run_lengths[rep] == (signals[0] if signals else 200)
 
 
+def _sixteen_bit_model():
+    """65,536 patient types; type i >= 2^15 has Y4 = 1, which is likely, so
+    many of those types fill a guide bucket by themselves."""
+    covs = [{"id": f"X{i}", "kind": "process", "prevalence": 0.5} for i in range(1, 7)]
+    covs += [{"id": f"Z{i}", "kind": "risk", "prevalence": 0.1} for i in range(1, 7)]
+    nodes = [
+        {
+            "id": f"Y{v}",
+            "intercept": {"coef_name": f"a{v}", "value": 2.0 if v == 4 else 0.0},
+            "process_parents": [{"var": f"X{v}", "coef_name": f"b{v}", "value": 0.7}],
+            "outcome_parents": [{"var": f"Y{v - 1}", "coef_name": f"g{v}", "value": 0.9}] if v > 1 else [],
+            "risk_parents": [{"var": f"Z{v}", "coef_name": f"d{v}", "value": -0.4}],
+        }
+        for v in range(1, 5)
+    ]
+    return sm.model_from_dict({"covariates": covs, "nodes": nodes})
+
+
+def _type_law(delivery, case):
+    if case == "sixteen-bits":
+        return mc._type_law(sm.in_control_generator(_sixteen_bit_model()))
+    gen = sm.in_control_generator(delivery)
+    if case == "mean-odds":
+        gen = sm.apply_shift(gen, sm.ShiftSpec("mean-odds", ("Y3",), 2.0))
+    elif case == "zero-probability":
+        ones = sm.CovariateModel({k: 1.0 for k in delivery.covariates.prevalence})
+        gen = sm.PatientGenerator(delivery.spec, delivery.params, ones)
+    return mc._type_law(gen)
+
+
+_TYPE_LAWS = ["in-control", "mean-odds", "zero-probability", "sixteen-bits"]
+
+
+@pytest.mark.parametrize("case", _TYPE_LAWS)
+def test_guide_table_is_exact(delivery, case):
+    """Each bucket's entry is -1 exactly where a cdf entry lies strictly
+    inside it, and otherwise the type its lowest uniform picks; found here
+    by binary searches over the bucket edges."""
+    cdf, guide = _type_law(delivery, case)
+    size = 2**mc._GUIDE_BITS
+    edges = np.arange(size + 1) / size
+    inside = np.searchsorted(cdf, edges[1:], side="left") > np.searchsorted(cdf, edges[:-1], side="right")
+    np.testing.assert_array_equal(guide, np.where(inside, -1, mc._pick_types(cdf, edges[:-1])))
+    if case == "sixteen-bits":
+        assert inside.mean() > 0.5 and guide.max() > np.iinfo(np.int16).max
+
+
+@pytest.mark.parametrize("case", _TYPE_LAWS)
+def test_guided_types_equal_the_binary_search(delivery, case):
+    """The guide picks the type the binary search picks from the output's
+    uniform: at both ends of every bucket, at and one step either side of
+    every cdf entry on the uniforms' 2^-53 grid, and for 10^6 random
+    outputs, in a flat and in a (lanes, steps) layout."""
+    cdf, guide = _type_law(delivery, case)
+    shift = 64 - mc._GUIDE_BITS
+    buckets = np.arange(2**mc._GUIDE_BITS, dtype=np.uint64)
+    ends = np.concatenate([buckets << np.uint64(shift), ((buckets + np.uint64(1)) << np.uint64(shift)) - np.uint64(1)])
+    grid = np.floor(cdf[cdf < 1.0] * 2.0**53).astype(np.uint64)
+    steps = np.concatenate([grid - np.uint64(1), grid, grid + np.uint64(1)])
+    near = steps[steps < np.uint64(2**53)] << np.uint64(11)
+    random = np.random.default_rng(0).integers(0, 2**64 - 1, 10**6, dtype=np.uint64, endpoint=True)
+    for x in (ends, near, near | np.uint64(2**11 - 1), random, random.reshape(1000, 1000)):
+        expected = mc._pick_types(cdf, (x >> np.uint64(11)) * 2.0**-53)
+        np.testing.assert_array_equal(mc._guided_types(cdf, guide, x), expected)
+    assert np.isin(cdf, (near >> np.uint64(11)) * 2.0**-53).any()  # some uniforms equal a cdf entry
+
+
+@pytest.mark.parametrize("lanes", [1, 300, 2048])
+def test_kernel_picks_equal_the_binary_search(delivery, chart, lanes):
+    """The kernel's input rows are the table rows of the types the binary
+    search picks from the same streams' uniforms."""
+    sim = mc._CompiledSim(sm.in_control_generator(delivery), delivery.params, chart, max_rl=200)
+    keys = mc._replication_keys(mc._seed_key(6), 0, lanes)
+    for after, n in ((0, 16), (37, 256)):
+        expected = sim.table.take(mc._pick_types(sim.cdf, mc._uniforms(keys, after, n)), axis=0)
+        np.testing.assert_array_equal(sim.inputs(keys, after, n), expected)
+
+
 def test_a_replication_depends_on_neither_its_chunk_nor_its_lane_mates_nor_max_rl(delivery, chart):
     gen = sm.in_control_generator(delivery)
     m = 60
