@@ -140,9 +140,10 @@ def _estimate_arl_phase1(generator, params0, config, reps, max_rl, seed, phase1_
     if phase1_size < 1:
         raise ModelConfigError("phase1_size must be at least 1")
     spec = generator.spec
-    in_control = PatientGenerator(spec=spec, params=params0, covariates=generator.covariates)
     # a type law depends on its generator alone, so each is built once per
-    # call, and only once when the monitored patients follow the in-control law
+    # call; the in-control generator differs from the monitored one in these
+    # two fields only, so when they already match, one law serves both
+    in_control = replace(generator, params=params0, mu_shift=None)
     law = _type_law(in_control)
     same = generator.mu_shift is None and np.array_equal(generator.params.values, params0.values)
     monitored_law = law if same else _type_law(generator)

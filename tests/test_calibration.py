@@ -183,6 +183,34 @@ def test_phase1_run_lengths_match_reference_stream(delivery, setup, seed):
     np.testing.assert_array_equal(res.run_lengths, expected)
 
 
+@pytest.mark.parametrize(
+    "shift", [sm.ShiftSpec("mean-odds", ("Y3",), 2.0), sm.ShiftSpec("coefficient", ("beta24",), 0.5)],
+    ids=["mean-odds", "coefficient"],
+)
+@pytest.mark.parametrize("seed", [2, 5])
+def test_shifted_phase1_run_lengths_match_reference_stream(delivery, setup, shift, seed):
+    # the Phase-I sample follows the in-control law and the monitored
+    # patients after it, on the same stream, the shifted one; at h = 80
+    # these seeds give run lengths from 5 to censored at max_rl
+    gen, config = setup
+    shifted = sm.apply_shift(gen, shift)
+    reps, max_rl, phase1_size = 3, 300, 1000
+    res = sm.estimate_arl(
+        shifted, delivery.params, config.with_h(80.0), reps=reps, max_rl=max_rl, seed=seed, phase1_size=phase1_size
+    )
+    expected = []
+    for rep in range(reps):
+        rng = sm.replication_rng(seed, rep)
+        phase1 = sm.sample_patients(gen, phase1_size, rng)
+        fit = sm.fit_mle(delivery.spec, phase1, params_init=delivery.params)
+        sigma = sm.expected_score_covariance(delivery.spec, fit.params, delivery.covariates).values
+        rep_config = sm.ChartConfig(sigma_s=sigma, r=0.1, h=80.0)
+        patients = sm.sample_patients(shifted, max_rl, rng)
+        trace = sm.run_stream(delivery.spec, fit.params, rep_config, patients, stop_at_signal=True)
+        expected.append(next((t for t, _, signal in trace if signal), max_rl))
+    np.testing.assert_array_equal(res.run_lengths, expected)
+
+
 def test_signal_fraction_consistent_with_target(delivery, setup):
     # roughly geometric run lengths: P(RL <= target) near 1 - (1 - 1/ARL)^ARL
     gen, config = setup
