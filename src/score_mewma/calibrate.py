@@ -19,6 +19,7 @@ from .chart import ChartConfig, run_stream  # noqa: F401  bench/tracing.py patch
 from .errors import CalibrationError, ModelConfigError
 from .mc import (
     PatientGenerator,
+    _check_run_size,
     _CompiledSim,
     _seed_parts,
     _simulate_chunk,
@@ -47,7 +48,7 @@ class ArlResult:
     run_lengths: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.mean_rl < 1.0 or self.std_error < 0.0 or self.censored > self.reps:
+        if not self.mean_rl >= 1.0 or self.reps < 1 or self.std_error < 0.0 or self.censored > self.reps:
             raise ModelConfigError("inconsistent run-length summary")
 
     @property
@@ -125,6 +126,7 @@ def estimate_arl(
     """
     if config.h is None:
         raise ModelConfigError("config.h must be set to estimate an ARL")
+    _check_run_size(reps, max_rl)
     if phase1_size is not None:
         return _estimate_arl_phase1(generator, params0, config, reps, max_rl, seed, phase1_size)
     sample = simulate_run_lengths(

@@ -13,12 +13,11 @@ from functools import cached_property
 from typing import Iterable, Iterator
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import ModelConfigError, SingularMatrixError
 from .likelihood import per_record_scores  # noqa: F401  bench/tracing.py patches chart.per_record_scores
 from .likelihood import score_rows
-from .model import DagModelSpec, ParamVector, PatientData, PatientRecord, node_designs, node_eta
+from .model import DagModelSpec, ParamVector, PatientData, PatientRecord, node_designs, node_means
 
 EXACT_RECURSIVE = "exact-recursive"
 ASYMPTOTIC = "asymptotic"
@@ -274,7 +273,6 @@ def run_stream(
     from . import mc  # mc imports this module
 
     designs = node_designs(spec)
-    thetas = [params0.values[d.param_indices] for d in designs]
     if isinstance(records, PatientData):
         records = records.records()
     memo: dict[bytes, np.ndarray] = {}
@@ -285,8 +283,7 @@ def run_stream(
         s = memo.get(key)
         if s is None:
             bits = record.complete_bits(spec)[None, :]
-            means = [expit(node_eta(d, theta, bits)) for d, theta in zip(designs, thetas)]
-            s = score_rows(designs, bits, means)[0]
+            s = score_rows(designs, bits, node_means(designs, params0.values, bits))[0]
             if len(memo) < limit:
                 memo[key] = s
         state, t2, signal = update(state, s)

@@ -26,6 +26,7 @@ from .model import (
     enumerate_patients,
     node_designs,
     node_eta,
+    node_means,
 )
 
 
@@ -41,11 +42,6 @@ def _design_rows(design: NodeDesign, bits: np.ndarray) -> np.ndarray:
     # stacked from 1-D columns, so C-ordered: BLAS rounds u.T @ (u * w) of an
     # F-ordered u differently (exact Sigma_S moved by 5e-16 relative)
     return np.column_stack([np.ones(bits.shape[0])] + [bits[:, col] for col in design.cols])
-
-
-def _means(designs, params: ParamVector, bits: np.ndarray) -> list[np.ndarray]:
-    """Each node's mean response at params for every bit row."""
-    return [expit(node_eta(d, params.values[d.param_indices], bits)) for d in designs]
 
 
 def node_design_matrix(spec: DagModelSpec, data: PatientData, node_index: int) -> tuple[np.ndarray, np.ndarray]:
@@ -88,7 +84,7 @@ def per_record_scores(spec: DagModelSpec, params: ParamVector, records) -> np.nd
     out for another model, or with a missing outcome, raise ModelConfigError."""
     bits = as_patient_data(records).complete_bits(spec)
     designs = node_designs(spec)
-    return score_rows(designs, bits, _means(designs, params, bits))
+    return score_rows(designs, bits, node_means(designs, params.values, bits))
 
 
 def score(spec: DagModelSpec, params: ParamVector, records) -> np.ndarray:
@@ -102,7 +98,7 @@ def _weighted_information(
     p = len(params)
     out = np.zeros((p, p))
     designs = node_designs(spec)
-    for design, mu in zip(designs, _means(designs, params, bits)):
+    for design, mu in zip(designs, node_means(designs, params.values, bits)):
         u = _design_rows(design, bits)
         w = mu * (1.0 - mu)
         if weights is not None:
@@ -164,7 +160,7 @@ def expected_score_covariance(
     bits = sample_patients(gen, mc_samples, seed).bits
     mean, second = np.zeros((2, len(params), len(params)))
     designs = node_designs(spec)
-    for design, mu in zip(designs, _means(designs, params, bits)):
+    for design, mu in zip(designs, node_means(designs, params.values, bits)):
         u = _design_rows(design, bits)
         w = mu * (1.0 - mu)
         idx = np.ix_(design.param_indices, design.param_indices)

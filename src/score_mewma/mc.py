@@ -15,12 +15,14 @@ arithmetic, so results at equal smoothing do not depend on it; at unequal
 smoothing the BLAS product can move the last bits of a T2 value. With at
 most ``_TYPE_LIMIT`` bits a patient reads one output, whose uniform picks
 its type from the cumulative type probabilities, and its row from a table
-over the 2^k types; above it a patient reads k uniforms and is generated
-and scored on its own. A type's table row is the float its patient would
-get on its own. The type is found by a guide table over the top
-``_GUIDE_BITS`` bits of the output, which gives the type the binary search
-over the cumulative probabilities gives for every output; only an output
-whose bucket holds a cumulative probability goes on to that search.
+over the 2^k types; above it a patient reads k uniforms, from which
+``_generate``, the one ancestral sampler, draws it, and it is scored on its
+own. A type's table row is the float its patient would get on its own. Node
+means come from ``model.node_means``. The type is found by a guide table
+over the top ``_GUIDE_BITS`` bits of the output, which gives the type the
+binary search over the cumulative probabilities gives for every output;
+only an output whose bucket holds a cumulative probability goes on to that
+search.
 
 With equal smoothing r the EWMA runs in whitened coordinates. Sigma_W,t =
 f_t Sigma_S, so with the evaluator's factor W (W W' = Sigma_S^{-1}) the
@@ -53,7 +55,8 @@ from scipy.special import expit
 from .chart import ChartConfig
 from .errors import ModelConfigError, ShiftError
 from .likelihood import score_rows
-from .model import CovariateModel, DagModelSpec, ParamVector, PatientData, node_designs, node_eta, type_bits
+from .model import CovariateModel, DagModelSpec, ParamVector, PatientData, joint_probs, node_designs, node_eta
+from .model import node_means, type_bits
 
 CHUNK = 2048  # replications per work unit; fixed so worker count cannot matter
 BUF = 256  # most patients a lane advances per kernel iteration
@@ -285,67 +288,26 @@ class PatientGenerator:
     mu_shift: tuple[str, str, float] | None = None  # (node id, kind, c)
 
 
-class _AncestralPass:
-    """Ancestral sampling under a generator, with each node's mean at params0.
+def _mean_shifted(generator: PatientGenerator, vi: int, mu: np.ndarray) -> np.ndarray:
+    """Node vi's mean response mu, after the generator's mean shift if that acts on node vi."""
+    if generator.mu_shift is None:
+        return mu
+    node_id, kind, c = generator.mu_shift
+    return apply_mean_shift(kind, c, mu) if generator.spec.node_index(node_id) == vi else mu
 
-    Called with an (n, k) block of uniforms, one row per patient laid out
-    like the ``[x | z | y]`` bit row, it returns the (n, k) float bit matrix
-    and, per node, the mean response at params0 of every patient. A node
-    whose params0 block equals the generator's reuses the generating mean
-    before any mean shift.
-    """
 
-    def __init__(self, generator: PatientGenerator, params0: ParamVector):
-        spec = generator.spec
-        if len(params0) != spec.n_params:
-            raise ModelConfigError("params0 does not match the model's coefficient layout")
-        self.designs = node_designs(spec)
-        self.p_cov = generator.covariates.prevalences(spec)
-        self.theta_gen = [generator.params.values[d.param_indices] for d in self.designs]
-        self.theta0 = [params0.values[d.param_indices] for d in self.designs]
-        self.same = [np.array_equal(a, b) for a, b in zip(self.theta_gen, self.theta0)]
-        self.shift_node, self.shift = -1, None
-        if generator.mu_shift is not None:
-            node_id, kind, c = generator.mu_shift
-            self.shift_node, self.shift = spec.node_index(node_id), (kind, c)
-
-    def node_means(self, vi: int, bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Node vi's generating mean, after any mean shift, and its mean at
-        params0, for every row of bits whose parent columns are set."""
-        design = self.designs[vi]
-        mu = expit(node_eta(design, self.theta_gen[vi], bits))
-        mu0 = mu if self.same[vi] else expit(node_eta(design, self.theta0[vi], bits))
-        if vi == self.shift_node:
-            mu = apply_mean_shift(*self.shift, mu)
-        return mu, mu0
-
-    def type_cdf(self, types: np.ndarray) -> np.ndarray:
-        """For the (2^k, k) bit rows of every patient type: their cumulative
-        probabilities under the generator, divided by the last so that it is
-        exactly 1 (see ``_pick_types``)."""
-        probs = np.ones(types.shape[0])
-        for j, p in enumerate(self.p_cov):
-            probs *= np.where(types[:, j] == 1.0, p, 1.0 - p)
-        for vi, design in enumerate(self.designs):
-            mu, _ = self.node_means(vi, types)
-            probs *= np.where(types[:, design.out_col] == 1.0, mu, 1.0 - mu)
-        cdf = np.cumsum(probs)
-        return cdf / cdf[-1]
-
-    def means0(self, bits: np.ndarray) -> list[np.ndarray]:
-        """Per node, the mean at params0 of every row of bits."""
-        return [expit(node_eta(d, theta, bits)) for d, theta in zip(self.designs, self.theta0)]
-
-    def __call__(self, u: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-        n_cov = self.p_cov.shape[0]
-        bits = np.empty(u.shape)
-        bits[:, :n_cov] = u[:, :n_cov] < self.p_cov
-        means = []
-        for vi, design in enumerate(self.designs):
-            mu, mu0 = self.node_means(vi, bits)
-            means.append(mu0)
-            bits[:, design.out_col] = u[:, design.out_col] < mu
-        return bits, means
+def _generate(generator: PatientGenerator, u: np.ndarray) -> np.ndarray:
+    """The (n, k) bit rows drawn node by node from the rows of u, k uniforms laid
+    out ``[x | z | y]``: a covariate or outcome is 1 when its uniform is below its
+    prevalence, or its node's mean response after any mean shift."""
+    spec, values = generator.spec, generator.params.values
+    p_cov = generator.covariates.prevalences(spec)
+    bits = np.empty(u.shape)
+    bits[:, : p_cov.size] = u[:, : p_cov.size] < p_cov
+    for vi, design in enumerate(node_designs(spec)):
+        mu = _mean_shifted(generator, vi, expit(node_eta(design, values[design.param_indices], bits)))
+        bits[:, design.out_col] = u[:, design.out_col] < mu
+    return bits
 
 
 def _pick_types(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -384,12 +346,18 @@ def _guided_types(cdf: np.ndarray, guide: np.ndarray, x: np.ndarray) -> np.ndarr
 
 
 def _type_law(generator: PatientGenerator) -> tuple[np.ndarray, np.ndarray] | None:
-    """The cumulative type probabilities under the generator and their guide
-    table; None above ``_TYPE_LIMIT`` bits."""
+    """The cumulative type probabilities under the generator, multiplied out
+    as in ``enumerate_patients`` with the mean shift on its node and divided
+    by the last so that it is exactly 1 (see ``_pick_types``), and their
+    guide table; None above ``_TYPE_LIMIT`` bits."""
     k = sum(generator.spec.widths)
     if k > _TYPE_LIMIT:
         return None
-    cdf = _AncestralPass(generator, generator.params).type_cdf(type_bits(k))
+    types = type_bits(k)
+    means = node_means(node_designs(generator.spec), generator.params.values, types)
+    means = [_mean_shifted(generator, vi, mu) for vi, mu in enumerate(means)]
+    cdf = np.cumsum(joint_probs(generator.spec, generator.covariates, types, means))
+    cdf = cdf / cdf[-1]
     return cdf, _type_guide(cdf)
 
 
@@ -403,9 +371,7 @@ def sample_patients(generator: PatientGenerator, n: int, rng, *, _law=None) -> P
     the binary search would pick from the output's uniform. ``_law``, the
     generator's ``_type_law`` built beforehand, saves building it again.
     Above the limit, and from a Generator or a seed, a patient reads k
-    uniforms laid out ``[x | z | y]``; a covariate or outcome is 1 when its
-    uniform is below its probability (its mean response for an outcome,
-    after any mean shift).
+    uniforms laid out ``[x | z | y]``, from which ``_generate`` samples it.
     """
     if n < 1:
         raise ModelConfigError("n must be at least 1")
@@ -418,8 +384,7 @@ def sample_patients(generator: PatientGenerator, n: int, rng, *, _law=None) -> P
         if law is not None:
             return PatientData.from_bits(spec, type_bits(k)[_guided_types(*law, rng._next(n))])
         u = rng.random(n * k).reshape(n, k)
-    bits, _ = _AncestralPass(generator, generator.params)(u)
-    return PatientData.from_bits(spec, bits)
+    return PatientData.from_bits(spec, _generate(generator, u))
 
 
 # ---------------------------------------------------------------------------
@@ -430,9 +395,11 @@ def sample_patients(generator: PatientGenerator, n: int, rng, *, _law=None) -> P
 class _CompiledSim:
     """Arrays and index plans shared by every chunk of one simulation.
 
-    With equal smoothing r, ``whiten`` is r W for the evaluator's factor W,
-    the kernel's input rows are the whitened r s W and ``q`` is the scalar
-    1 - r; otherwise ``whiten`` is None, the rows are r * s and ``q`` is the
+    Patients are scored as in ``per_record_scores``, at the coefficients
+    ``values0`` of params0, which must have the model's layout. With equal
+    smoothing r, ``whiten`` is r W for the evaluator's factor W, the
+    kernel's input rows are the whitened r s W and ``q`` is the scalar 1 -
+    r; otherwise ``whiten`` is None, the rows are r * s and ``q`` is the
     vector 1 - r. With k <= _TYPE_LIMIT bits per patient it holds the
     cumulative probabilities ``cdf`` of the 2^k patient types under the
     generator, their ``guide`` table (``_type_guide``), through which a
@@ -441,18 +408,22 @@ class _CompiledSim:
     bit j of i in column j of the ``[x | z | y]`` row. ``law``, the
     generator's ``_type_law`` built beforehand, saves building ``cdf`` and
     ``guide`` again. ``draws`` is the number of stream outputs a patient
-    reads: 1 with the tables, else k. The tables depend on the generator
-    and params0 alone, so they are built once per simulation, not per
-    chunk. Taking the config's evaluator
-    builds it, which checks and inverts every Sigma_W,t in the calling
-    process; workers get the whole object pickled with each chunk and only
-    read it.
+    reads: 1 with the tables, else k, which ``_generate`` turns into the
+    patient's bits. The tables depend on the generator and params0 alone, so
+    they are built once per simulation, not per chunk. Taking the config's
+    evaluator builds it, which checks and inverts every Sigma_W,t in the
+    calling process; workers get the whole object pickled with each chunk
+    and only read it.
     """
 
     def __init__(
         self, generator: PatientGenerator, params0: ParamVector, config: ChartConfig, max_rl: int, law=None
     ):
-        self.sample = _AncestralPass(generator, params0)
+        if len(params0) != generator.spec.n_params:
+            raise ModelConfigError("params0 does not match the model's coefficient layout")
+        self.generator = generator
+        self.designs = node_designs(generator.spec)
+        self.values0 = params0.values
         self.k = sum(generator.spec.widths)
         self.r_vec = config.r_vec
         self.q = float(1.0 - config.r_vec[0]) if config.equal_r else 1.0 - config.r_vec
@@ -468,10 +439,13 @@ class _CompiledSim:
         self.table = self.cdf = self.guide = None
         self.draws = self.k  # stream outputs each patient reads
         if self.k <= _TYPE_LIMIT:
-            types = type_bits(self.k)
             self.cdf, self.guide = _type_law(generator) if law is None else law
-            self.table = self._from_scores(score_rows(self.sample.designs, types, self.sample.means0(types)))
+            self.table = self._scores(type_bits(self.k))
             self.draws = 1
+
+    def _scores(self, bits: np.ndarray) -> np.ndarray:
+        """Input rows of an (n, k) bit matrix, scored at params0."""
+        return self._from_scores(score_rows(self.designs, bits, node_means(self.designs, self.values0, bits)))
 
     def _from_scores(self, s: np.ndarray) -> np.ndarray:
         """Input rows of an (n, p) score matrix: r * s, or s @ whiten summed
@@ -491,8 +465,7 @@ class _CompiledSim:
         if self.table is not None:
             return self.table.take(_guided_types(self.cdf, self.guide, _outputs(keys, after, n)), axis=0)
         u = _uniforms(keys, after, n * self.k).reshape(n, self.k, -1).transpose(0, 2, 1)
-        bits, means = self.sample(u.reshape(-1, self.k))
-        return self._from_scores(score_rows(self.sample.designs, bits, means)).reshape(n, keys.size, -1)
+        return self._scores(_generate(self.generator, u.reshape(-1, self.k))).reshape(n, keys.size, -1)
 
     def t2(self, z: np.ndarray, t0: int) -> np.ndarray:
         """T2 of a (steps, lanes, p) block of EWMA states at steps t0 + 1, t0 + 2, ..."""
@@ -639,6 +612,16 @@ def _run_pickled_chunk(blob: bytes, *args):
     return _run_chunk(pickle.loads(blob), *args)
 
 
+def _check_run_size(reps: int, max_rl: int) -> None:
+    """ModelConfigError unless 1 <= reps <= 2**32 and max_rl >= 1."""
+    if reps < 1:
+        raise ModelConfigError("reps must be at least 1")
+    if reps > 2**32:
+        raise ModelConfigError(f"reps must be at most 2**32, got {reps}")
+    if max_rl < 1:
+        raise ModelConfigError("max_rl must be at least 1")
+
+
 def simulate_run_lengths(
     generator: PatientGenerator,
     params0: ParamVector,
@@ -657,12 +640,7 @@ def simulate_run_lengths(
     process only waits. Identical seeds give identical results for any
     worker count.
     """
-    if reps < 1:
-        raise ModelConfigError("reps must be at least 1")
-    if reps > 2**32:
-        raise ModelConfigError(f"reps must be at most 2**32, got {reps}")
-    if max_rl < 1:
-        raise ModelConfigError("max_rl must be at least 1")
+    _check_run_size(reps, max_rl)
     if cap is None:
         cap = config.h
     if cap is None:

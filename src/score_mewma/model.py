@@ -208,6 +208,12 @@ def node_eta(design: NodeDesign, theta: np.ndarray, bits: np.ndarray) -> np.ndar
     return eta
 
 
+def node_means(designs, values: np.ndarray, bits: np.ndarray) -> list[np.ndarray]:
+    """Each node's mean response at the flat coefficients ``values`` for
+    every row of an (n, k) bit matrix."""
+    return [expit(node_eta(d, values[d.param_indices], bits)) for d in designs]
+
+
 @dataclass(frozen=True)
 class ParamVector:
     """Flat coefficient vector with name and per-node block lookup."""
@@ -439,13 +445,18 @@ def enumerate_patients(
             f"exact enumeration over {total} binary variables exceeds the limit of {limit}"
         )
     bits = type_bits(total)
+    probs = joint_probs(spec, covariates, bits, node_means(node_designs(spec), params.values, bits))
+    return PatientData.from_bits(spec, bits), probs
+
+
+def joint_probs(spec: DagModelSpec, covariates: CovariateModel, bits: np.ndarray, means) -> np.ndarray:
+    """Each bit row's probability: the covariate factors, then each node's from its means on the rows."""
     probs = np.ones(bits.shape[0])
     for j, p in enumerate(covariates.prevalences(spec)):
         probs *= np.where(bits[:, j] == 1.0, p, 1.0 - p)
-    for design in node_designs(spec):
-        mu = expit(node_eta(design, params.values[design.param_indices], bits))
+    for design, mu in zip(node_designs(spec), means):
         probs *= np.where(bits[:, design.out_col] == 1.0, mu, 1.0 - mu)
-    return PatientData.from_bits(spec, bits), probs
+    return probs
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .calibrate import ArlResult, estimate_arl
 from .chart import ChartConfig
 from .errors import ShiftError
 from .mc import PatientGenerator, _seed_parts, resolve_threads, shutdown_pool, worker_pool
-from .model import DagModelSpec, Model, ParamVector, enumerate_patients, node_designs, node_eta
+from .model import DagModelSpec, Model, ParamVector, enumerate_patients, node_designs, node_means
 
 COEFFICIENT = "coefficient"
 COEFFICIENT_PAIR = "coefficient-pair"
@@ -83,8 +82,7 @@ def _check_mean_additive(generator: PatientGenerator, node_id: str, c: float) ->
             f"{n_binary} binary variables (limit {_ENUM_LIMIT})"
         )
     data, probs = enumerate_patients(spec, generator.params, generator.covariates, limit=_ENUM_LIMIT)
-    design = node_designs(spec)[spec.node_index(node_id)]
-    mu = expit(node_eta(design, generator.params.values[design.param_indices], data.bits))
+    mu = node_means(node_designs(spec), generator.params.values, data.bits)[spec.node_index(node_id)]
     reachable = probs > 0.0
     shifted = mu[reachable] * (1.0 + c)
     if shifted.size and (shifted.max() >= 1.0 or shifted.min() <= 0.0):

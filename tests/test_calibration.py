@@ -146,6 +146,31 @@ def test_arl_result_invariants():
         sm.ArlResult(mean_rl=5.0, std_error=0.0, reps=10, censored=11, max_rl=100)
 
 
+def test_arl_result_rejects_a_nan_mean_and_no_replications():
+    with pytest.raises(sm.ModelConfigError):
+        sm.ArlResult(mean_rl=math.nan, std_error=0.0, reps=10, censored=0, max_rl=100)
+    with pytest.raises(sm.ModelConfigError):
+        sm.ArlResult(mean_rl=5.0, std_error=0.0, reps=0, censored=0, max_rl=100)
+
+
+@pytest.mark.parametrize("phase1_size", [None, 500], ids=["plain", "phase1"])
+@pytest.mark.parametrize(
+    "kw, message",
+    [
+        (dict(reps=0, max_rl=50), "reps must be at least 1"),
+        (dict(reps=-3, max_rl=50), "reps must be at least 1"),
+        (dict(reps=2**32 + 1, max_rl=50), r"reps must be at most 2\*\*32"),
+        (dict(reps=5, max_rl=0), "max_rl must be at least 1"),
+    ],
+    ids=["reps-0", "reps-negative", "reps-too-many", "max-rl-0"],
+)
+def test_plain_and_phase1_runs_check_reps_and_max_rl_alike(delivery, setup, phase1_size, kw, message):
+    """Both paths reject a run size before any work, with one message."""
+    gen, config = setup
+    with pytest.raises(sm.ModelConfigError, match=message):
+        sm.estimate_arl(gen, delivery.params, config.with_h(30.0), seed=0, phase1_size=phase1_size, **kw)
+
+
 def test_phase1_refit_mode_runs():
     from conftest import two_node_model
 

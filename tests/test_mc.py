@@ -14,7 +14,7 @@ import score_mewma as sm
 from score_mewma import mc
 from score_mewma.likelihood import score_rows
 from score_mewma.mc import simulate_run_lengths
-from score_mewma.model import node_designs, node_eta, type_bits
+from score_mewma.model import node_designs, node_eta, node_means, type_bits
 
 from conftest import oracle_enumerate
 
@@ -141,7 +141,7 @@ def test_a_type_of_probability_zero_is_never_drawn(delivery, chart):
     ones = sm.CovariateModel({k: 1.0 for k in delivery.covariates.prevalence})
     gen = sm.PatientGenerator(delivery.spec, delivery.params, ones)
     sim = mc._CompiledSim(gen, delivery.params, chart, max_rl=200)
-    n_cov = sim.sample.p_cov.size
+    n_cov = ones.prevalences(delivery.spec).size
     picked = mc._pick_types(sim.cdf, np.array([0.0, np.nextafter(1.0, 0.0)]))
     assert np.all(picked & (2**n_cov - 1) == 2**n_cov - 1)
     data = sm.sample_patients(gen, 200_000, sm.replication_rng(5, 0))
@@ -152,6 +152,28 @@ def test_a_type_of_probability_zero_is_never_drawn(delivery, chart):
         assert np.all(data.x == 1) and np.all(data.z == 1)
         signals = [t for t, _, sig in sm.run_stream(delivery.spec, delivery.params, chart, data) if sig]
         assert sample.run_lengths[rep] == (signals[0] if signals else 200)
+
+
+@pytest.mark.parametrize(
+    "shift", [None, sm.ShiftSpec("coefficient", ("beta24",), 0.5)], ids=["in-control", "coefficient"]
+)
+def test_type_law_is_the_enumerated_law(delivery, shift):
+    """The kernel's cumulative type probabilities are, bit for bit, those
+    of enumerate_patients' joint probabilities under the generator."""
+    gen = sm.in_control_generator(delivery)
+    if shift is not None:
+        gen = sm.apply_shift(gen, shift)
+    _, p = sm.enumerate_patients(gen.spec, gen.params, gen.covariates)
+    np.testing.assert_array_equal(mc._type_law(gen)[0], np.cumsum(p) / np.cumsum(p)[-1])
+
+
+def test_params0_of_another_layout_is_rejected(delivery, chart):
+    from conftest import two_node_model
+
+    with pytest.raises(sm.ModelConfigError, match="params0 does not match the model's coefficient layout"):
+        simulate_run_lengths(
+            sm.in_control_generator(delivery), two_node_model().params, chart, reps=4, max_rl=10, seed=0
+        )
 
 
 def _sixteen_bit_model():
@@ -491,10 +513,12 @@ def test_type_tables_equal_per_patient_path(delivery, monkeypatch, shift, chart_
     types = type_bits(sim.k)
     # a uniform of 0 sets a bit on the ancestral path, the largest below 1 clears it
     u = np.where(types == 1.0, 0.0, np.nextafter(1.0, 0.0))
+    designs = node_designs(delivery.spec)
     for i in range(types.shape[0]):
-        bits, means = sim.sample(u[i : i + 1])
+        bits = mc._generate(gen, u[i : i + 1])
+        means = node_means(designs, delivery.params.values, bits)
         np.testing.assert_array_equal(bits, types[i : i + 1])
-        np.testing.assert_array_equal(sim._from_scores(score_rows(sim.sample.designs, bits, means))[0], sim.table[i])
+        np.testing.assert_array_equal(sim._from_scores(score_rows(designs, bits, means))[0], sim.table[i])
 
     monkeypatch.setattr(mc, "_TYPE_LIMIT", 0)
     direct = simulate_run_lengths(gen, delivery.params, config, reps=300, max_rl=max_rl, seed=8, threads=1,
@@ -808,7 +832,7 @@ def test_whitened_t2_equals_the_evaluator(delivery, mode):
     for t0 in (0, 40):
         expected = config.t2_evaluator.t2(w, t0 + 1, sim.factors[t0 : t0 + mc.STEP, None])
         np.testing.assert_allclose(sim.t2(w @ whitener, t0), expected, rtol=1e-12)
-    for design in sim.sample.designs:
+    for design in node_designs(delivery.spec):
         rows = np.zeros(config.p, dtype=bool)
         rows[design.param_indices] = True
         assert not whitener[np.ix_(rows, ~rows)].any() and not whitener[np.ix_(~rows, rows)].any()
