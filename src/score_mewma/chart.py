@@ -14,6 +14,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from . import model
 from .errors import ModelConfigError, SingularMatrixError
 from .likelihood import per_record_scores  # noqa: F401  bench/tracing.py patches chart.per_record_scores
 from .likelihood import score_rows
@@ -265,18 +266,16 @@ def run_stream(
     a row's bytes to its score row: the first record with those bytes is
     scored by ``score_rows`` at params0 blocks looked up once, and later
     ones reuse the row, so the floats are the same either way. The memo
-    holds at most ``2 ** mc._TYPE_LIMIT`` rows; once it is full, new rows
+    holds at most ``2 ** model.ENUM_LIMIT`` rows; once it is full, new rows
     are scored but not kept. A record laid out for another model raises
     ModelConfigError, and so does one with a missing outcome; that check
     runs on memo misses only, as a hit has the bytes of a row that passed.
     """
-    from . import mc  # mc imports this module
-
     designs = node_designs(spec)
     if isinstance(records, PatientData):
         records = records.records()
     memo: dict[bytes, np.ndarray] = {}
-    limit = 2**mc._TYPE_LIMIT
+    limit = 2**model.ENUM_LIMIT
     state = init_state(config)
     for record in records:
         key = record.bits_for(spec).tobytes()

@@ -85,9 +85,7 @@ def _chart(model, params, args, h):
         model.spec,
         params,
         model.covariates,
-        mc_fallback=mc,
-        enum_limit=0 if mc else 16,
-        mc_samples=args.sigma_samples,
+        mc_samples=args.sigma_samples if mc else None,
         seed=getattr(args, "seed", 0) or 0,
     )
     config = ChartConfig(

@@ -15,6 +15,7 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.special import expit
 
+from . import model
 from .errors import DataFormatError, FitError, ModelConfigError, SeparationError, SingularMatrixError
 from .model import (
     CovariateModel,
@@ -131,27 +132,24 @@ def expected_score_covariance(
     spec: DagModelSpec,
     params: ParamVector,
     covariates: CovariateModel,
-    enum_limit: int = 16,
-    mc_fallback: bool = False,
-    mc_samples: int = MIN_MC_SAMPLES,
+    mc_samples: int | None = None,
     seed: int = 0,
 ) -> ScoreCovariance:
     """Expected per-patient information over the joint law of (x, z, y).
 
-    Small models are enumerated exactly; above ``enum_limit`` binary
-    variables a Monte Carlo average over ``mc_samples`` sampled patients is
-    used when ``mc_fallback`` is set, with an entrywise standard error
-    estimate. Fewer than 100,000 samples raise ModelConfigError.
+    With ``mc_samples`` None the patient types are enumerated exactly, up to
+    ``model.ENUM_LIMIT`` binary variables; otherwise it is a Monte Carlo
+    average over ``mc_samples`` sampled patients, with an entrywise standard
+    error estimate. Fewer than 100,000 samples raise ModelConfigError.
     """
-    n_binary = sum(spec.widths)
-    if n_binary <= enum_limit:
-        data, probs = enumerate_patients(spec, params, covariates, limit=enum_limit)
+    if mc_samples is None:
+        if sum(spec.widths) > model.ENUM_LIMIT:
+            raise ModelConfigError(
+                f"model has {sum(spec.widths)} binary variables, above the enumeration limit of "
+                f"{model.ENUM_LIMIT}; pass mc_samples (--sigma-mode mc) to use Monte Carlo"
+            )
+        data, probs = enumerate_patients(spec, params, covariates)
         return ScoreCovariance(values=_weighted_information(spec, params, data.bits, probs), mode="exact")
-    if not mc_fallback:
-        raise ModelConfigError(
-            f"model has {n_binary} binary variables, above the enumeration limit of "
-            f"{enum_limit}; enable mc_fallback to use Monte Carlo"
-        )
     if mc_samples < MIN_MC_SAMPLES:
         raise ModelConfigError(f"mc_samples must be at least {MIN_MC_SAMPLES}, got {mc_samples}")
     from .mc import PatientGenerator, sample_patients

@@ -13,7 +13,7 @@ the block's uniforms come from one vectorized call, and scoring, the EWMA
 and T2 each take the whole block. Block length changes no lane's
 arithmetic, so results at equal smoothing do not depend on it; at unequal
 smoothing the BLAS product can move the last bits of a T2 value. With at
-most ``_TYPE_LIMIT`` bits a patient reads one output, whose uniform picks
+most ``model.ENUM_LIMIT`` bits a patient reads one output, whose uniform picks
 its type from the cumulative type probabilities, and its row from a table
 over the 2^k types; above it a patient reads k uniforms, from which
 ``_generate``, the one ancestral sampler, draws it, and it is scored on its
@@ -52,6 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
+from . import model
 from .chart import ChartConfig
 from .errors import ModelConfigError, ShiftError
 from .likelihood import score_rows
@@ -62,7 +63,6 @@ CHUNK = 2048  # replications per work unit; fixed so worker count cannot matter
 BUF = 256  # most patients a lane advances per kernel iteration
 STEP = 16  # fewest patients a lane advances per kernel iteration
 LANE_STEPS = 8192  # a block of more than STEP steps stays within this many lane-steps
-_TYPE_LIMIT = 16  # most bits per patient for which the kernel scores from type tables
 _GUIDE_BITS = 12  # a type guide table has 2^12 buckets, read at an output's top 12 bits
 
 ENV_THREADS = "SCORE_MEWMA_THREADS"
@@ -349,9 +349,9 @@ def _type_law(generator: PatientGenerator) -> tuple[np.ndarray, np.ndarray] | No
     """The cumulative type probabilities under the generator, multiplied out
     as in ``enumerate_patients`` with the mean shift on its node and divided
     by the last so that it is exactly 1 (see ``_pick_types``), and their
-    guide table; None above ``_TYPE_LIMIT`` bits."""
+    guide table; None above ``model.ENUM_LIMIT`` bits."""
     k = sum(generator.spec.widths)
-    if k > _TYPE_LIMIT:
+    if k > model.ENUM_LIMIT:
         return None
     types = type_bits(k)
     means = node_means(node_designs(generator.spec), generator.params.values, types)
@@ -365,7 +365,7 @@ def sample_patients(generator: PatientGenerator, n: int, rng, *, _law=None) -> P
     """Draw n patients; rng is a ``ReplicationStream``, a Generator or a seed.
 
     From a stream they are the patients the kernel draws from it, and the
-    stream advances past them: with at most ``_TYPE_LIMIT`` bits a patient
+    stream advances past them: with at most ``model.ENUM_LIMIT`` bits a patient
     reads one output, which picks its type from the cumulative type
     probabilities through their guide table (``_guided_types``), the type
     the binary search would pick from the output's uniform. ``_law``, the
@@ -400,7 +400,7 @@ class _CompiledSim:
     smoothing r, ``whiten`` is r W for the evaluator's factor W, the
     kernel's input rows are the whitened r s W and ``q`` is the scalar 1 -
     r; otherwise ``whiten`` is None, the rows are r * s and ``q`` is the
-    vector 1 - r. With k <= _TYPE_LIMIT bits per patient it holds the
+    vector 1 - r. With k <= model.ENUM_LIMIT bits per patient it holds the
     cumulative probabilities ``cdf`` of the 2^k patient types under the
     generator, their ``guide`` table (``_type_guide``), through which a
     patient's output finds the type the binary search over ``cdf`` would
@@ -438,7 +438,7 @@ class _CompiledSim:
             self.starts = (whitener != 0).argmax(axis=1).tolist()
         self.table = self.cdf = self.guide = None
         self.draws = self.k  # stream outputs each patient reads
-        if self.k <= _TYPE_LIMIT:
+        if self.k <= model.ENUM_LIMIT:
             self.cdf, self.guide = _type_law(generator) if law is None else law
             self.table = self._scores(type_bits(self.k))
             self.draws = 1

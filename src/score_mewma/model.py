@@ -27,6 +27,8 @@ LOGIT = "logit"
 #: Sentinel for an outcome that has not been observed / generated yet.
 MISSING = -1
 
+ENUM_LIMIT = 16  # most binary variables per patient whose 2^k types are enumerated
+
 
 def mean_response(eta):
     """Inverse logit link, overflow safe for any finite linear predictor.
@@ -432,17 +434,16 @@ def enumerate_patients(
     spec: DagModelSpec,
     params: ParamVector,
     covariates: CovariateModel,
-    limit: int = 24,
 ) -> tuple[PatientData, np.ndarray]:
     """Every (x, z, y) configuration with its exact joint probability under
     ``params`` and ``covariates`` (no mean shift). Configuration i has bit j
     of i in column j of the ``[x | z | y]`` row. The number of binary
-    variables must not exceed ``limit``.
+    variables must not exceed ``ENUM_LIMIT``.
     """
     total = sum(spec.widths)
-    if total > limit:
+    if total > ENUM_LIMIT:
         raise ModelConfigError(
-            f"exact enumeration over {total} binary variables exceeds the limit of {limit}"
+            f"exact enumeration over {total} binary variables exceeds the limit of {ENUM_LIMIT}"
         )
     bits = type_bits(total)
     probs = joint_probs(spec, covariates, bits, node_means(node_designs(spec), params.values, bits))

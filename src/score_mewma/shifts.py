@@ -18,15 +18,13 @@ from .calibrate import ArlResult, estimate_arl
 from .chart import ChartConfig
 from .errors import ShiftError
 from .mc import PatientGenerator, _seed_parts, resolve_threads, shutdown_pool, worker_pool
-from .model import DagModelSpec, Model, ParamVector, enumerate_patients, node_designs, node_means
+from .model import DagModelSpec, Model, ParamVector, node_designs, node_means
 
 COEFFICIENT = "coefficient"
 COEFFICIENT_PAIR = "coefficient-pair"
 MEAN_ADDITIVE = "mean-additive"
 MEAN_ODDS = "mean-odds"
 SHIFT_KINDS = (COEFFICIENT, COEFFICIENT_PAIR, MEAN_ADDITIVE, MEAN_ODDS)
-
-_ENUM_LIMIT = 20  # mean-additive validity is checked by exact enumeration
 
 
 @dataclass(frozen=True)
@@ -73,19 +71,24 @@ def validate_shift_targets(spec: DagModelSpec, params: ParamVector, kind: str, t
         raise ShiftError(f"unknown shift kind {kind!r}; expected one of {SHIFT_KINDS}")
 
 
-def _check_mean_additive(generator: PatientGenerator, node_id: str, c: float) -> None:
+def _mean_range(generator: PatientGenerator, node_id: str) -> np.ndarray:
+    """The node's least and greatest mean over its reachable parent patterns. Every parent
+    bit is free save a covariate of prevalence 0 or 1, so these form a product set; float
+    sums and expit are monotone, so the row that sets each free bit of negative coefficient,
+    and its mirror, give exactly the extremes an enumeration of the patterns gives."""
     spec = generator.spec
-    n_binary = sum(spec.widths)
-    if n_binary > _ENUM_LIMIT:
-        raise ShiftError(
-            "mean-additive validity check needs exact enumeration, but the model has "
-            f"{n_binary} binary variables (limit {_ENUM_LIMIT})"
-        )
-    data, probs = enumerate_patients(spec, generator.params, generator.covariates, limit=_ENUM_LIMIT)
-    mu = node_means(node_designs(spec), generator.params.values, data.bits)[spec.node_index(node_id)]
-    reachable = probs > 0.0
-    shifted = mu[reachable] * (1.0 + c)
-    if shifted.size and (shifted.max() >= 1.0 or shifted.min() <= 0.0):
+    design = node_designs(spec)[spec.node_index(node_id)]
+    prevalences = generator.covariates.prevalences(spec)
+    rows = np.zeros((2, sum(spec.widths)))
+    for col, coef in zip(design.cols, generator.params.values[design.param_indices][1:]):
+        fixed = col < len(prevalences) and prevalences[col] in (0.0, 1.0)
+        rows[:, col] = prevalences[col] if fixed else (coef < 0.0, coef > 0.0)
+    return node_means([design], generator.params.values, rows)[0]
+
+
+def _check_mean_additive(generator: PatientGenerator, node_id: str, c: float) -> None:
+    shifted = _mean_range(generator, node_id) * (1.0 + c)
+    if shifted.max() >= 1.0 or shifted.min() <= 0.0:
         raise ShiftError(
             f"mean-additive shift c={c:g} on {node_id} pushes the mean response to "
             f"{shifted.max():.4f} at some reachable configuration; it must stay inside (0, 1)"
@@ -104,12 +107,15 @@ def apply_shift(generator: PatientGenerator, shift: ShiftSpec) -> PatientGenerat
     validate_shift_targets(spec, params, shift.kind, shift.targets)
     if shift.kind in (COEFFICIENT, COEFFICIENT_PAIR):
         scaled = {name: (1.0 + shift.c) * params[name] for name in shift.targets}
-        return PatientGenerator(
+        shifted = PatientGenerator(
             spec=spec,
             params=params.replace(scaled),
             covariates=generator.covariates,
             mu_shift=generator.mu_shift,
         )
+        if shifted.mu_shift is not None and shifted.mu_shift[1] == "additive":
+            _check_mean_additive(shifted, shifted.mu_shift[0], shifted.mu_shift[2])
+        return shifted
     if generator.mu_shift is not None:
         raise ShiftError("generator already carries a mean-level shift")
     node_id = shift.targets[0]

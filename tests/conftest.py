@@ -64,6 +64,15 @@ def two_node_model():
     return sm.model_from_dict(doc)
 
 
+def delivery_with_risk_factors(n):
+    """The delivery model with n more risk factors on Y1: 8 + n binary variables."""
+    doc = sm.model_to_dict(sm.default_delivery_model())
+    for i in range(n):
+        doc["covariates"].append({"id": f"R{i}", "kind": "risk", "prevalence": 0.3})
+        doc["nodes"][0]["risk_parents"].append({"var": f"R{i}", "coef_name": f"rho{i}", "value": 0.1})
+    return sm.model_from_dict(doc)
+
+
 def oracle_record_loglik(spec, params, record):
     """Log of the joint outcome probability, one conditional factor at a time."""
     total = 0.0

@@ -134,7 +134,7 @@ def test_criterion_3_score_covariance_law(model, sigma_s):
         assert np.all(gap <= 3.0 * se + 1e-12), f"max z = {np.max(gap / se):.2f}"
 
         mc = sm.expected_score_covariance(
-            model.spec, model.params, model.covariates, enum_limit=0, mc_fallback=True, seed=30_002
+            model.spec, model.params, model.covariates, mc_samples=100_000, seed=30_002
         )
         gap2 = np.abs(mc.values - sigma_s)
         assert np.all(gap2 <= 3.0 * mc.mc_se + 1e-12), f"max z = {np.max(gap2 / mc.mc_se):.2f}"

@@ -3,7 +3,7 @@ import pytest
 from scipy.special import expit
 
 import score_mewma as sm
-from score_mewma import chart, mc
+from score_mewma import chart
 from score_mewma.chart import ASYMPTOTIC, EXACT_RECURSIVE
 from score_mewma.errors import ModelConfigError, SingularMatrixError
 from score_mewma.likelihood import score_rows
@@ -319,7 +319,7 @@ def test_run_stream_past_the_memo_bound_gives_the_same_trace(delivery, monkeypat
     config = _delivery_config(delivery)
     data = sm.sample_patients(sm.in_control_generator(delivery), 400, 11)
     full = list(sm.run_stream(delivery.spec, delivery.params, config, data))
-    monkeypatch.setattr(mc, "_TYPE_LIMIT", 1)  # a memo of 2 rows
+    monkeypatch.setattr(sm.model, "ENUM_LIMIT", 1)  # a memo of 2 rows
     assert list(sm.run_stream(delivery.spec, delivery.params, config, data)) == full
 
 

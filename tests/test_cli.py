@@ -18,6 +18,8 @@ import score_mewma as sm
 from score_mewma import io as fio
 from score_mewma.cli import EXIT_BROKEN_PIPE, main, rerun_from_manifest
 
+from conftest import delivery_with_risk_factors
+
 
 @pytest.fixture(scope="module")
 def work(tmp_path_factory):
@@ -156,6 +158,15 @@ def test_calibrate_validation_exit_codes(work, tmp_path):
     root, model = work
     assert run("calibrate", model, model, "--target-arl", 1, "-o", tmp_path / "x.json") == 2
     assert run("calibrate", model, model, "--target-arl", 0.5, "-o", tmp_path / "x.json") == 2
+
+
+def test_exact_sigma_above_the_enumeration_limit_names_the_mc_option(tmp_path, capsys):
+    big = tmp_path / "big.json"
+    big.write_text(sm.serialize_model_spec(delivery_with_risk_factors(9)))  # 17 binary variables
+    assert run("calibrate", big, big, "--target-arl", 20, "--reps", 100, "-o", tmp_path / "cal.json") == 2
+    err = capsys.readouterr().err
+    assert "--sigma-mode mc" in err and "Traceback" not in err
+    assert not (tmp_path / "cal.json").exists()
 
 
 def test_calibrate_small_reps_caps_every_stage(work, tmp_path):

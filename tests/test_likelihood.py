@@ -9,6 +9,7 @@ from score_mewma.errors import DataFormatError, FitError, ModelConfigError, Sepa
 from score_mewma.likelihood import node_design_matrix
 
 from conftest import (
+    delivery_with_risk_factors,
     fd_gradient,
     fd_hessian,
     intercept_only_data,
@@ -113,16 +114,17 @@ def test_expected_score_covariance_intercept_only():
 def test_expected_score_covariance_exact_vs_mc(delivery):
     exact = sm.expected_score_covariance(delivery.spec, delivery.params, delivery.covariates)
     mc = sm.expected_score_covariance(
-        delivery.spec, delivery.params, delivery.covariates, enum_limit=0, mc_fallback=True, seed=4
+        delivery.spec, delivery.params, delivery.covariates, mc_samples=100_000, seed=4
     )
     assert mc.mode == "monte-carlo"
     gap = np.abs(exact.values - mc.values)
     assert np.all(gap <= 3.0 * mc.mc_se + 1e-12)
 
 
-def test_expected_score_covariance_limit_error(delivery):
+def test_expected_score_covariance_limit_error():
+    big = delivery_with_risk_factors(9)  # 17 binary variables
     with pytest.raises(sm.ModelConfigError, match="enumeration limit"):
-        sm.expected_score_covariance(delivery.spec, delivery.params, delivery.covariates, enum_limit=3)
+        sm.expected_score_covariance(big.spec, big.params, big.covariates)
 
 
 def test_score_sample_covariance_matches_sigma_s(delivery):
@@ -328,7 +330,7 @@ def test_cumulative_score_singular_info(delivery):
 def test_expected_score_covariance_rejects_few_mc_samples(delivery):
     with pytest.raises(sm.ModelConfigError, match="at least 100000"):
         sm.expected_score_covariance(
-            delivery.spec, delivery.params, delivery.covariates, enum_limit=0, mc_fallback=True, mc_samples=10
+            delivery.spec, delivery.params, delivery.covariates, mc_samples=10
         )
 
 

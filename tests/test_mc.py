@@ -500,7 +500,7 @@ _UNEQUAL_R_CHART = dict(r=tuple(np.linspace(0.01, 0.05, 17)), h=40.0)
 def test_type_tables_equal_per_patient_path(delivery, monkeypatch, shift, chart_kw, track):
     """Every type's table row is, bit for bit, the row the per-patient path
     gives that type's patient on its own. And the per-patient kernel path
-    (``_TYPE_LIMIT`` 0: k uniforms per patient) gives the run lengths and
+    (``ENUM_LIMIT`` 0: k uniforms per patient) gives the run lengths and
     staircases of run_stream over the patients that sample_patients draws
     from the same streams under the same limit."""
     sigma = sm.expected_score_covariance(delivery.spec, delivery.params, delivery.covariates).values
@@ -520,7 +520,7 @@ def test_type_tables_equal_per_patient_path(delivery, monkeypatch, shift, chart_
         np.testing.assert_array_equal(bits, types[i : i + 1])
         np.testing.assert_array_equal(sim._from_scores(score_rows(designs, bits, means))[0], sim.table[i])
 
-    monkeypatch.setattr(mc, "_TYPE_LIMIT", 0)
+    monkeypatch.setattr(sm.model, "ENUM_LIMIT", 0)
     direct = simulate_run_lengths(gen, delivery.params, config, reps=300, max_rl=max_rl, seed=8, threads=1,
                                   track_records=track)
     # lanes resolve within a block and others run on past BUF patients

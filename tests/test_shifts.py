@@ -2,8 +2,12 @@ import numpy as np
 import pytest
 
 import score_mewma as sm
+from score_mewma import shifts
 from score_mewma.errors import ShiftError
 from score_mewma.mc import apply_mean_shift
+from score_mewma.model import node_designs, node_means
+
+from conftest import delivery_with_risk_factors
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +80,41 @@ def test_mean_additive_validity_enumerated(delivery):
         sm.apply_shift(gen, sm.ShiftSpec("mean-additive", ("Y3",), 7.0))
     with pytest.raises(ShiftError, match="reachable"):
         sm.apply_shift(gen, sm.ShiftSpec("mean-additive", ("Y3",), -1.0))
+
+
+def test_mean_range_equals_the_enumerated_extremes(delivery):
+    """The two rows give, bit for bit, the least and greatest node mean over
+    the enumerated configurations of positive probability, also where a
+    covariate of prevalence 0 or 1 fixes a parent bit."""
+    rng = np.random.default_rng(21)
+    spec, designs = delivery.spec, node_designs(delivery.spec)
+    covariate_ids = spec.process_ids + spec.risk_ids
+    for _ in range(200):
+        params = delivery.params.replace(dict(zip(delivery.params.names, rng.normal(0.0, 2.0, len(delivery.params)))))
+        kinds = rng.choice(3, size=len(covariate_ids), p=[0.15, 0.15, 0.7])
+        prevalence = [float(k) if k < 2 else rng.uniform(0.01, 0.99) for k in kinds]
+        covariates = sm.CovariateModel(dict(zip(covariate_ids, prevalence)))
+        gen = sm.PatientGenerator(spec=spec, params=params, covariates=covariates)
+        data, probs = sm.enumerate_patients(spec, params, covariates)
+        for node_id, mu in zip(spec.node_ids, node_means(designs, params.values, data.bits)):
+            reachable = mu[probs > 0.0]
+            low, high = shifts._mean_range(gen, node_id)
+            assert (low, high) == (reachable.min(), reachable.max())
+
+
+def test_mean_additive_check_needs_no_enumeration():
+    big = delivery_with_risk_factors(13)  # 21 binary variables, above the enumeration limit
+    gen = sm.in_control_generator(big)
+    sm.apply_shift(gen, sm.ShiftSpec("mean-additive", ("Y3",), 0.5))
+    with pytest.raises(ShiftError, match="reachable"):
+        sm.apply_shift(gen, sm.ShiftSpec("mean-additive", ("Y1",), 7.0))
+
+
+def test_coefficient_shift_on_a_mean_additive_shift_is_checked(delivery):
+    gen = sm.apply_shift(sm.in_control_generator(delivery), sm.ShiftSpec("mean-additive", ("Y3",), 4.0))
+    sm.apply_shift(gen, sm.ShiftSpec("coefficient", ("alpha3",), 0.5))  # a lower intercept keeps it valid
+    with pytest.raises(ShiftError, match="reachable"):
+        sm.apply_shift(gen, sm.ShiftSpec("coefficient", ("alpha3",), -0.5))
 
 
 def test_shift_kinds_differ_on_same_target(delivery):
