@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy.stats import chi2
 
+from . import model
 from .chart import ChartConfig, run_stream  # noqa: F401  bench/tracing.py patches calibrate.run_stream
 from .errors import CalibrationError, ModelConfigError
 from .mc import (
@@ -23,7 +24,6 @@ from .mc import (
     _CompiledSim,
     _seed_parts,
     _simulate_chunk,
-    _type_law,
     replication_rng,
     sample_patients,
     simulate_run_lengths,
@@ -142,21 +142,24 @@ def _estimate_arl_phase1(generator, params0, config, reps, max_rl, seed, phase1_
     if phase1_size < 1:
         raise ModelConfigError("phase1_size must be at least 1")
     spec = generator.spec
-    # a type law depends on its generator alone, so each is built once per
-    # call; the in-control generator differs from the monitored one in these
-    # two fields only, so when they already match, one law serves both
-    in_control = replace(generator, params=params0, mu_shift=None)
-    law = _type_law(in_control)
-    same = generator.mu_shift is None and np.array_equal(generator.params.values, params0.values)
-    monitored_law = law if same else _type_law(generator)
+    if len(params0) != spec.n_params:
+        raise ModelConfigError("params0 does not match the model's coefficient layout")
+    if sum(spec.widths) > model.ENUM_LIMIT:
+        raise ModelConfigError(
+            f"Phase-I refits need the exact score covariance, so at most {model.ENUM_LIMIT} binary "
+            f"variables; the model has {sum(spec.widths)}"
+        )
+    in_control = generator
+    if generator.mu_shift is not None or not np.array_equal(generator.params.values, params0.values):
+        in_control = replace(generator, params=params0, mu_shift=None)
     run_lengths = np.full(reps, max_rl, dtype=np.int64)
     resolved = np.zeros(reps, dtype=bool)
     for rep in range(reps):
         stream = replication_rng(seed, rep)
-        phase1 = sample_patients(in_control, phase1_size, stream, _law=law)
+        phase1 = sample_patients(in_control, phase1_size, stream)
         fit = fit_mle(spec, phase1, params_init=params0)
         sigma = expected_score_covariance(spec, fit.params, generator.covariates).values
-        sim = _CompiledSim(generator, fit.params, replace(config, sigma_s=sigma), max_rl, law=monitored_law)
+        sim = _CompiledSim(generator, fit.params, replace(config, sigma_s=sigma), max_rl)
         key = np.array([stream.key], dtype=np.uint64)
         rl, res, _ = _simulate_chunk(sim, key, stream.position, config.h, max_rl, track_records=False)
         run_lengths[rep], resolved[rep] = rl[0], res[0]

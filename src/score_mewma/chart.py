@@ -16,9 +16,8 @@ import numpy as np
 
 from . import model
 from .errors import ModelConfigError, SingularMatrixError
-from .likelihood import per_record_scores  # noqa: F401  bench/tracing.py patches chart.per_record_scores
-from .likelihood import score_rows
-from .model import DagModelSpec, ParamVector, PatientData, PatientRecord, node_designs, node_means
+from .likelihood import per_record_scores
+from .model import DagModelSpec, ParamVector, PatientData, PatientRecord
 
 EXACT_RECURSIVE = "exact-recursive"
 ASYMPTOTIC = "asymptotic"
@@ -220,17 +219,17 @@ class T2Evaluator:
             return np.zeros_like(self._matrices[0])
         return self.factor(t) * self._matrices[self._index(t)]
 
-    def t2(self, w: np.ndarray, t: int, factor) -> np.ndarray:
+    def t2(self, w: np.ndarray, t: int) -> np.ndarray:
         """T2 of a state or a (lanes, p) matrix of states at step t, or of a
-        (steps, lanes, p) block of them at steps t, t + 1, ..., with factor
-        shaped (steps, 1); each step's product is one (lanes, p) @ (p, p).
-        The kernel's block path serves unequal smoothing only."""
+        (steps, lanes, p) block of them at steps t, t + 1, ...; each step's
+        product is one (lanes, p) @ (p, p). The kernel's block path serves
+        unequal smoothing only."""
+        if w.ndim < 3:
+            return ((w @ self.inverse(t)) * w).sum(axis=-1) / self.factor(t)
         cap = len(self._inverses)
-        if t >= cap or w.ndim < 3:
-            a = self.inverse(t)
-        else:
-            a = self._inverses[np.minimum(np.arange(t, t + w.shape[0]), cap) - 1]
-        return ((w @ a) * w).sum(axis=-1) / factor
+        steps = np.arange(t, t + w.shape[0])
+        a = self.inverse(t) if t >= cap else self._inverses[np.minimum(steps, cap) - 1]
+        return ((w @ a) * w).sum(axis=-1) / self.factor(steps)[:, None]
 
 
 def update(state: MewmaState, s_t: np.ndarray) -> tuple[MewmaState, float, bool]:
@@ -246,8 +245,7 @@ def update(state: MewmaState, s_t: np.ndarray) -> tuple[MewmaState, float, bool]
         raise ModelConfigError(f"score vector must have length {cfg.p}, got {s.shape[0]}")
     w = cfg.r_vec * s + (1.0 - cfg.r_vec) * state.w
     t = state.t + 1
-    evaluator = cfg.t2_evaluator
-    t2 = float(evaluator.t2(w, t, evaluator.factor(t)))
+    t2 = float(cfg.t2_evaluator.t2(w, t))
     signal = t >= cfg.warmup and cfg.h is not None and t2 > cfg.h
     return MewmaState(config=cfg, w=w, t=t), t2, bool(signal)
 
@@ -264,14 +262,13 @@ def run_stream(
     Records are consumed lazily so the stream can sit on a live feed. A
     score row depends on the bit row alone, so each stream keeps a memo from
     a row's bytes to its score row: the first record with those bytes is
-    scored by ``score_rows`` at params0 blocks looked up once, and later
-    ones reuse the row, so the floats are the same either way. The memo
-    holds at most ``2 ** model.ENUM_LIMIT`` rows; once it is full, new rows
-    are scored but not kept. A record laid out for another model raises
-    ModelConfigError, and so does one with a missing outcome; that check
-    runs on memo misses only, as a hit has the bytes of a row that passed.
+    scored by ``per_record_scores`` at params0, and later ones reuse the
+    row, so the floats are the same either way. The memo holds at most
+    ``2 ** model.ENUM_LIMIT`` rows; once it is full, new rows are scored but
+    not kept. A record laid out for another model raises ModelConfigError,
+    and so does one with a missing outcome; that check runs on memo misses
+    only, as a hit has the bytes of a row that passed.
     """
-    designs = node_designs(spec)
     if isinstance(records, PatientData):
         records = records.records()
     memo: dict[bytes, np.ndarray] = {}
@@ -281,8 +278,7 @@ def run_stream(
         key = record.bits_for(spec).tobytes()
         s = memo.get(key)
         if s is None:
-            bits = record.complete_bits(spec)[None, :]
-            s = score_rows(designs, bits, node_means(designs, params0.values, bits))[0]
+            s = per_record_scores(spec, params0, [record])[0]
             if len(memo) < limit:
                 memo[key] = s
         state, t2, signal = update(state, s)

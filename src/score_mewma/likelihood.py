@@ -369,13 +369,16 @@ def fit_mle(
     block does not converge or its information matrix is singular, naming
     the node in both cases. Raises DataFormatError unless every covariate
     and outcome is 0 or 1, and ModelConfigError for a node with more than
-    62 parents or for records laid out for another model.
+    62 parents, for records laid out for another model or for
+    ``params_init`` of another coefficient layout.
     """
     bits = _binary_bits(spec, records)
     if len(bits) < 1:
         raise FitError("at least one record is required")
     if params_init is None:
         template = ParamVector.for_spec(spec, {n: 0.0 for node in spec.nodes for n in node.coef_names()})
+    elif len(params_init) != spec.n_params:
+        raise ModelConfigError("params_init does not match the model's coefficient layout")
     else:
         template = params_init
     values = template.values.copy()

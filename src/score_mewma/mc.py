@@ -48,6 +48,7 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import expit
@@ -287,6 +288,23 @@ class PatientGenerator:
     covariates: CovariateModel
     mu_shift: tuple[str, str, float] | None = None  # (node id, kind, c)
 
+    @cached_property
+    def _type_law(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """The cumulative type probabilities under the generator, multiplied out
+        as in ``enumerate_patients`` with the mean shift on its node and divided
+        by the last so that it is exactly 1 (see ``_pick_types``), and their
+        guide table; None above ``model.ENUM_LIMIT`` bits. Built on first use
+        and kept; ``dataclasses.replace`` gives a generator that builds its own."""
+        k = sum(self.spec.widths)
+        if k > model.ENUM_LIMIT:
+            return None
+        types = type_bits(k)
+        means = node_means(node_designs(self.spec), self.params.values, types)
+        means = [_mean_shifted(self, vi, mu) for vi, mu in enumerate(means)]
+        cdf = np.cumsum(joint_probs(self.spec, self.covariates, types, means))
+        cdf = cdf / cdf[-1]
+        return cdf, _type_guide(cdf)
+
 
 def _mean_shifted(generator: PatientGenerator, vi: int, mu: np.ndarray) -> np.ndarray:
     """Node vi's mean response mu, after the generator's mean shift if that acts on node vi."""
@@ -345,33 +363,16 @@ def _guided_types(cdf: np.ndarray, guide: np.ndarray, x: np.ndarray) -> np.ndarr
     return types
 
 
-def _type_law(generator: PatientGenerator) -> tuple[np.ndarray, np.ndarray] | None:
-    """The cumulative type probabilities under the generator, multiplied out
-    as in ``enumerate_patients`` with the mean shift on its node and divided
-    by the last so that it is exactly 1 (see ``_pick_types``), and their
-    guide table; None above ``model.ENUM_LIMIT`` bits."""
-    k = sum(generator.spec.widths)
-    if k > model.ENUM_LIMIT:
-        return None
-    types = type_bits(k)
-    means = node_means(node_designs(generator.spec), generator.params.values, types)
-    means = [_mean_shifted(generator, vi, mu) for vi, mu in enumerate(means)]
-    cdf = np.cumsum(joint_probs(generator.spec, generator.covariates, types, means))
-    cdf = cdf / cdf[-1]
-    return cdf, _type_guide(cdf)
-
-
-def sample_patients(generator: PatientGenerator, n: int, rng, *, _law=None) -> PatientData:
+def sample_patients(generator: PatientGenerator, n: int, rng) -> PatientData:
     """Draw n patients; rng is a ``ReplicationStream``, a Generator or a seed.
 
     From a stream they are the patients the kernel draws from it, and the
     stream advances past them: with at most ``model.ENUM_LIMIT`` bits a patient
     reads one output, which picks its type from the cumulative type
     probabilities through their guide table (``_guided_types``), the type
-    the binary search would pick from the output's uniform. ``_law``, the
-    generator's ``_type_law`` built beforehand, saves building it again.
-    Above the limit, and from a Generator or a seed, a patient reads k
-    uniforms laid out ``[x | z | y]``, from which ``_generate`` samples it.
+    the binary search would pick from the output's uniform. Above the
+    limit, and from a Generator or a seed, a patient reads k uniforms laid
+    out ``[x | z | y]``, from which ``_generate`` samples it.
     """
     if n < 1:
         raise ModelConfigError("n must be at least 1")
@@ -380,9 +381,8 @@ def sample_patients(generator: PatientGenerator, n: int, rng, *, _law=None) -> P
     if not isinstance(rng, ReplicationStream):
         u = np.random.default_rng(rng).random((n, k))  # a Generator is returned unaltered
     else:
-        law = _type_law(generator) if _law is None else _law
-        if law is not None:
-            return PatientData.from_bits(spec, type_bits(k)[_guided_types(*law, rng._next(n))])
+        if generator._type_law is not None:
+            return PatientData.from_bits(spec, type_bits(k)[_guided_types(*generator._type_law, rng._next(n))])
         u = rng.random(n * k).reshape(n, k)
     return PatientData.from_bits(spec, _generate(generator, u))
 
@@ -400,25 +400,23 @@ class _CompiledSim:
     smoothing r, ``whiten`` is r W for the evaluator's factor W, the
     kernel's input rows are the whitened r s W and ``q`` is the scalar 1 -
     r; otherwise ``whiten`` is None, the rows are r * s and ``q`` is the
-    vector 1 - r. With k <= model.ENUM_LIMIT bits per patient it holds the
-    cumulative probabilities ``cdf`` of the 2^k patient types under the
-    generator, their ``guide`` table (``_type_guide``), through which a
-    patient's output finds the type the binary search over ``cdf`` would
-    pick, and the (2^k, p) ``table`` of their rows at params0; type i has
-    bit j of i in column j of the ``[x | z | y]`` row. ``law``, the
-    generator's ``_type_law`` built beforehand, saves building ``cdf`` and
-    ``guide`` again. ``draws`` is the number of stream outputs a patient
-    reads: 1 with the tables, else k, which ``_generate`` turns into the
-    patient's bits. The tables depend on the generator and params0 alone, so
-    they are built once per simulation, not per chunk. Taking the config's
-    evaluator builds it, which checks and inverts every Sigma_W,t in the
-    calling process; workers get the whole object pickled with each chunk
-    and only read it.
+    vector 1 - r. With k <= model.ENUM_LIMIT bits per patient ``cdf`` and
+    ``guide`` are the generator's ``_type_law``: the cumulative
+    probabilities of the 2^k patient types under the generator and their
+    guide table (``_type_guide``), through which a patient's output finds
+    the type the binary search over ``cdf`` would pick. ``table`` then
+    holds the (2^k, p) rows of the types at params0; type i has bit j of i
+    in column j of the ``[x | z | y]`` row. ``draws`` is the number of
+    stream outputs a patient reads: 1 with the tables, else k, which
+    ``_generate`` turns into the patient's bits. The table depends on the
+    generator and params0 alone, so it is built once per simulation, not
+    per chunk. Taking the config's evaluator builds it, which checks and
+    inverts every Sigma_W,t in the calling process; workers get the whole
+    object pickled with each chunk, the generator's law once, and only
+    read it.
     """
 
-    def __init__(
-        self, generator: PatientGenerator, params0: ParamVector, config: ChartConfig, max_rl: int, law=None
-    ):
+    def __init__(self, generator: PatientGenerator, params0: ParamVector, config: ChartConfig, max_rl: int):
         if len(params0) != generator.spec.n_params:
             raise ModelConfigError("params0 does not match the model's coefficient layout")
         self.generator = generator
@@ -438,8 +436,8 @@ class _CompiledSim:
             self.starts = (whitener != 0).argmax(axis=1).tolist()
         self.table = self.cdf = self.guide = None
         self.draws = self.k  # stream outputs each patient reads
-        if self.k <= model.ENUM_LIMIT:
-            self.cdf, self.guide = _type_law(generator) if law is None else law
+        if generator._type_law is not None:
+            self.cdf, self.guide = generator._type_law
             self.table = self._scores(type_bits(self.k))
             self.draws = 1
 
@@ -469,10 +467,9 @@ class _CompiledSim:
 
     def t2(self, z: np.ndarray, t0: int) -> np.ndarray:
         """T2 of a (steps, lanes, p) block of EWMA states at steps t0 + 1, t0 + 2, ..."""
-        factor = self.factors[t0 : t0 + z.shape[0], None]
         if self.whiten is None:
-            return self.evaluator.t2(z, t0 + 1, factor)
-        return np.einsum("ijk,ijk->ij", z, z) / factor
+            return self.evaluator.t2(z, t0 + 1)
+        return np.einsum("ijk,ijk->ij", z, z) / self.factors[t0 : t0 + z.shape[0], None]
 
 
 @dataclass

@@ -171,6 +171,57 @@ def test_plain_and_phase1_runs_check_reps_and_max_rl_alike(delivery, setup, phas
         sm.estimate_arl(gen, delivery.params, config.with_h(30.0), seed=0, phase1_size=phase1_size, **kw)
 
 
+@pytest.mark.parametrize("phase1_size", [None, 2000], ids=["plain", "phase1"])
+def test_params0_of_another_layout_is_rejected_on_both_paths(setup, phase1_size):
+    from conftest import two_node_model
+
+    gen, config = setup
+    with pytest.raises(sm.ModelConfigError, match="params0 does not match the model's coefficient layout"):
+        sm.estimate_arl(
+            gen, two_node_model().params, config.with_h(30.0), reps=2, max_rl=50, seed=0, phase1_size=phase1_size
+        )
+
+
+def test_phase1_above_the_enumeration_limit_is_rejected_before_any_refit(monkeypatch):
+    # a Phase-I refit needs the exact score covariance of the refitted model
+    from conftest import delivery_with_risk_factors
+
+    model = delivery_with_risk_factors(9)
+    config = sm.ChartConfig(sigma_s=np.eye(len(model.params)), r=0.1, h=30.0)
+    monkeypatch.setattr(sm.likelihood, "fit_mle", lambda *args, **kwargs: pytest.fail("refitted"))
+    with pytest.raises(sm.ModelConfigError, match=r"Phase-I refits need the exact score covariance.* 16 binary"):
+        sm.estimate_arl(
+            sm.in_control_generator(model), model.params, config, reps=2, max_rl=50, seed=0, phase1_size=500
+        )
+
+
+def test_each_generator_builds_its_type_law_once(delivery, setup, monkeypatch):
+    """A generator builds its type law on first use and keeps it: once for
+    a whole calibration, once for an in-control Phase-I run, whose refit
+    samples come from the monitored generator, and twice under a shift."""
+    from score_mewma import mc
+
+    builds = []
+    guide = mc._type_guide
+    monkeypatch.setattr(mc, "_type_guide", lambda cdf: builds.append(cdf.size) or guide(cdf))
+    _, config = setup
+    kw = dict(reps=2, max_rl=50, seed=0, phase1_size=500)
+    sm.calibrate_h(
+        sm.in_control_generator(delivery), delivery.params, config, 25.0, reps_schedule=(100, 500, 600), seed=12,
+        max_rl=500,
+    )
+    assert len(builds) == 1
+    gen = sm.in_control_generator(delivery)
+    sm.estimate_arl(gen, delivery.params, config.with_h(30.0), **kw)
+    assert len(builds) == 2
+    sm.estimate_arl(gen, delivery.params, config.with_h(30.0), **kw)
+    sm.estimate_arl(gen, delivery.params, config.with_h(30.0), reps=2, max_rl=50, seed=0)
+    assert len(builds) == 2
+    shifted = sm.apply_shift(sm.in_control_generator(delivery), sm.ShiftSpec("mean-odds", ("Y3",), 0.5))
+    sm.estimate_arl(shifted, delivery.params, config.with_h(30.0), **kw)
+    assert len(builds) == 4
+
+
 def test_phase1_refit_mode_runs():
     from conftest import two_node_model
 

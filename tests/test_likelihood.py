@@ -355,3 +355,9 @@ def test_rows_laid_out_for_another_model_are_rejected(delivery, nx):
         sm.log_likelihood(delivery.spec, delivery.params, data)
     with pytest.raises(ModelConfigError, match=widths):
         sm.fit_mle(delivery.spec, data)
+
+
+def test_fit_mle_rejects_params_init_of_another_layout(delivery):
+    data = sm.sample_patients(sm.in_control_generator(delivery), 50, 0)
+    with pytest.raises(ModelConfigError, match="params_init does not match the model's coefficient layout"):
+        sm.fit_mle(delivery.spec, data, params_init=two_node_model().params)

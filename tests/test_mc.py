@@ -5,6 +5,7 @@ import signal
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -164,7 +165,7 @@ def test_type_law_is_the_enumerated_law(delivery, shift):
     if shift is not None:
         gen = sm.apply_shift(gen, shift)
     _, p = sm.enumerate_patients(gen.spec, gen.params, gen.covariates)
-    np.testing.assert_array_equal(mc._type_law(gen)[0], np.cumsum(p) / np.cumsum(p)[-1])
+    np.testing.assert_array_equal(gen._type_law[0], np.cumsum(p) / np.cumsum(p)[-1])
 
 
 def test_params0_of_another_layout_is_rejected(delivery, chart):
@@ -196,14 +197,14 @@ def _sixteen_bit_model():
 
 def _type_law(delivery, case):
     if case == "sixteen-bits":
-        return mc._type_law(sm.in_control_generator(_sixteen_bit_model()))
+        return sm.in_control_generator(_sixteen_bit_model())._type_law
     gen = sm.in_control_generator(delivery)
     if case == "mean-odds":
         gen = sm.apply_shift(gen, sm.ShiftSpec("mean-odds", ("Y3",), 2.0))
     elif case == "zero-probability":
         ones = sm.CovariateModel({k: 1.0 for k in delivery.covariates.prevalence})
         gen = sm.PatientGenerator(delivery.spec, delivery.params, ones)
-    return mc._type_law(gen)
+    return gen._type_law
 
 
 _TYPE_LAWS = ["in-control", "mean-odds", "zero-probability", "sixteen-bits"]
@@ -521,6 +522,9 @@ def test_type_tables_equal_per_patient_path(delivery, monkeypatch, shift, chart_
         np.testing.assert_array_equal(sim._from_scores(score_rows(designs, bits, means))[0], sim.table[i])
 
     monkeypatch.setattr(sm.model, "ENUM_LIMIT", 0)
+    # gen keeps the type law it built above; a fresh generator builds none
+    gen = replace(gen)
+    assert gen._type_law is None
     direct = simulate_run_lengths(gen, delivery.params, config, reps=300, max_rl=max_rl, seed=8, threads=1,
                                   track_records=track)
     # lanes resolve within a block and others run on past BUF patients
@@ -830,7 +834,7 @@ def test_whitened_t2_equals_the_evaluator(delivery, mode):
     np.testing.assert_array_equal(sim.whiten, 0.02 * whitener)
     w = 0.02 * np.random.default_rng(4).standard_normal((mc.STEP, 50, config.p))
     for t0 in (0, 40):
-        expected = config.t2_evaluator.t2(w, t0 + 1, sim.factors[t0 : t0 + mc.STEP, None])
+        expected = config.t2_evaluator.t2(w, t0 + 1)
         np.testing.assert_allclose(sim.t2(w @ whitener, t0), expected, rtol=1e-12)
     for design in node_designs(delivery.spec):
         rows = np.zeros(config.p, dtype=bool)
