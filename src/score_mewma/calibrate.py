@@ -19,6 +19,7 @@ from . import model
 from .chart import ChartConfig, run_stream  # noqa: F401  bench/tracing.py patches calibrate.run_stream
 from .errors import CalibrationError, ModelConfigError
 from .mc import (
+    MAX_RL,
     PatientGenerator,
     _check_run_size,
     _CompiledSim,
@@ -183,7 +184,8 @@ def calibrate_h(
     the previous stage's limit (the chi-square guess for stage 0), raising
     the cap by half and simulating again while the ARL at the cap is at or
     below the target, then bisects on [0, cap]. Deterministic for a fixed
-    seed.
+    seed. ``max_rl`` defaults to 20 times the target ARL; a default above
+    ``mc.MAX_RL`` raises ModelConfigError.
     """
     if not (target_arl > 1.0 and math.isfinite(target_arl)):
         raise CalibrationError(f"target ARL must be finite and exceed 1, got {target_arl}")
@@ -191,6 +193,11 @@ def calibrate_h(
         raise CalibrationError("reps_schedule must not be empty")
     if max_rl is None:
         max_rl = int(round(20 * target_arl))
+        if max_rl > MAX_RL:
+            raise ModelConfigError(
+                f"the default max_rl, 20 times the target ARL, is {max_rl}, above the limit of {MAX_RL}; "
+                "give a smaller max_rl (--max-rl)"
+            )
     if max_rl <= target_arl:
         raise CalibrationError(f"max_rl {max_rl} must exceed the target ARL {target_arl:g}")
     h = max(1.0, float(chi2.ppf(1.0 - 1.0 / target_arl, df=config.p)))

@@ -31,7 +31,7 @@ from .errors import (
     SingularMatrixError,
 )
 from .likelihood import MIN_MC_SAMPLES, expected_score_covariance, fit_mle
-from .mc import PatientGenerator, sample_patients, shutdown_pool
+from .mc import MAX_RL, MAX_THREADS, PatientGenerator, sample_patients, shutdown_pool
 from .model import model_hash
 from .shifts import (
     MEAN_ODDS,
@@ -53,11 +53,13 @@ def _err(msg: str) -> None:
     print(f"score-mewma: {msg}", file=sys.stderr)
 
 
-def _int_at_least(low: int):
+def _int_at_least(low: int, high: int | None = None):
     def parse(text: str) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"must be at most {high}")
         return value
 
     parse.__name__ = "int"  # argparse names the type in "invalid int value"
@@ -80,12 +82,11 @@ _positive_finite = _float_where(lambda v: v > 0.0 and math.isfinite(v), "must be
 
 def _chart(model, params, args, h):
     """The chart from the command's chart options, and those options' echo."""
-    mc = args.sigma_mode == "mc"
     sigma = expected_score_covariance(
         model.spec,
         params,
         model.covariates,
-        mc_samples=args.sigma_samples if mc else None,
+        mc_samples=args.sigma_samples,
         seed=getattr(args, "seed", 0) or 0,
     )
     config = ChartConfig(
@@ -98,8 +99,8 @@ def _chart(model, params, args, h):
     )
     echo = {"r": args.r, "warmup": args.warmup, "covariance_mode": args.covariance_mode,
             "sigma_s_mode": sigma.mode}
-    if mc:
-        echo["sigma_samples"] = args.sigma_samples
+    if sigma.mc_samples:
+        echo["sigma_samples"] = sigma.mc_samples
     return config, echo
 
 
@@ -260,13 +261,11 @@ def _add_chart_options(p: argparse.ArgumentParser) -> None:
         default=EXACT_RECURSIVE,
         help="chart covariance: time-varying recursion or its limit",
     )
-    p.add_argument("--sigma-mode", choices=["exact", "mc"], default="exact",
-                   help="score covariance by exact enumeration or Monte Carlo")
     p.add_argument("--sigma-samples", type=_int_at_least(MIN_MC_SAMPLES), default=MIN_MC_SAMPLES,
-                   help=f"samples for --sigma-mode mc (at least {MIN_MC_SAMPLES})")
-    p.add_argument("--threads", type=_int_at_least(0), default=None,
-                   help="worker processes, 0 for auto (default: SCORE_MEWMA_THREADS or auto); "
-                   "never changes a result")
+                   help=f"Monte Carlo patients for a model above the enumeration limit (at least {MIN_MC_SAMPLES})")
+    p.add_argument("--threads", type=_int_at_least(0, MAX_THREADS), default=None,
+                   help=f"worker processes, 0 for auto, at most {MAX_THREADS} (default: SCORE_MEWMA_THREADS "
+                   "or auto); never changes a result")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -290,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
                    type=_float_where(lambda v: v > 1.0 and math.isfinite(v), "target ARL must be finite and exceed 1"))
     p.add_argument("--reps", type=_int_at_least(1), default=10_000, help="final-stage replications")
     p.add_argument("--rel-tolerance", type=_positive_finite, default=0.02)
-    p.add_argument("--max-rl", type=_int_at_least(1), default=None)
+    p.add_argument("--max-rl", type=_int_at_least(1, MAX_RL), default=None)
     p.add_argument("--seed", type=_int_at_least(0), default=0)
     _add_chart_options(p)
     p.add_argument("-o", "--out", required=True)
@@ -306,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--h", type=_positive_finite, required=True, help="calibrated control limit")
     p.add_argument("--reps", type=_int_at_least(1), default=5000)
-    p.add_argument("--max-rl", type=_int_at_least(1), default=4000)
+    p.add_argument("--max-rl", type=_int_at_least(1, MAX_RL), default=4000)
     p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--emit-plot-data", metavar="PATH", default=None)
     _add_chart_options(p)

@@ -119,9 +119,13 @@ class ScoreCovariance:
     """Per-patient score covariance with how it was obtained."""
 
     values: np.ndarray
-    mode: str  # "exact" or "monte-carlo"
     mc_se: np.ndarray | None = None
-    mc_samples: int = 0
+    mc_samples: int = 0  # 0 when exact
+
+    @property
+    def mode(self) -> str:
+        """How the values were obtained: "exact" or "monte-carlo"."""
+        return "monte-carlo" if self.mc_samples else "exact"
 
 
 # the fewest patients the Monte Carlo score covariance may average over
@@ -132,40 +136,36 @@ def expected_score_covariance(
     spec: DagModelSpec,
     params: ParamVector,
     covariates: CovariateModel,
-    mc_samples: int | None = None,
+    mc_samples: int = MIN_MC_SAMPLES,
     seed: int = 0,
 ) -> ScoreCovariance:
     """Expected per-patient information over the joint law of (x, z, y).
 
-    With ``mc_samples`` None the patient types are enumerated exactly, up to
-    ``model.ENUM_LIMIT`` binary variables; otherwise it is a Monte Carlo
-    average over ``mc_samples`` sampled patients, with an entrywise standard
-    error estimate. Fewer than 100,000 samples raise ModelConfigError.
+    Up to ``model.ENUM_LIMIT`` binary variables the patient types are
+    enumerated exactly; above it, it is a Monte Carlo average over
+    ``mc_samples`` patients sampled from ``seed``, with an entrywise
+    standard error estimate. Fewer than 100,000 samples raise
+    ModelConfigError at any model size.
     """
-    if mc_samples is None:
-        if sum(spec.widths) > model.ENUM_LIMIT:
-            raise ModelConfigError(
-                f"model has {sum(spec.widths)} binary variables, above the enumeration limit of "
-                f"{model.ENUM_LIMIT}; pass mc_samples (--sigma-mode mc) to use Monte Carlo"
-            )
-        data, probs = enumerate_patients(spec, params, covariates)
-        return ScoreCovariance(values=_weighted_information(spec, params, data.bits, probs), mode="exact")
     if mc_samples < MIN_MC_SAMPLES:
         raise ModelConfigError(f"mc_samples must be at least {MIN_MC_SAMPLES}, got {mc_samples}")
+    if sum(spec.widths) <= model.ENUM_LIMIT:
+        data, probs = enumerate_patients(spec, params, covariates)
+        return ScoreCovariance(values=_weighted_information(spec, params, data.bits, probs))
     from .mc import PatientGenerator, sample_patients
 
     gen = PatientGenerator(spec=spec, params=params, covariates=covariates)
     bits = sample_patients(gen, mc_samples, seed).bits
-    mean, second = np.zeros((2, len(params), len(params)))
+    mean = _weighted_information(spec, params, bits, None) / mc_samples
+    second = np.zeros_like(mean)
     designs = node_designs(spec)
     for design, mu in zip(designs, node_means(designs, params.values, bits)):
         u = _design_rows(design, bits)
         w = mu * (1.0 - mu)
         idx = np.ix_(design.param_indices, design.param_indices)
-        mean[idx] = u.T @ (u * w[:, None]) / mc_samples
         second[idx] = u.T @ (u * (w * w)[:, None]) / mc_samples  # u is 0/1, so u * u = u
     se = np.sqrt(np.maximum(second - mean * mean, 0.0) / mc_samples)
-    return ScoreCovariance(values=mean, mode="monte-carlo", mc_se=se, mc_samples=mc_samples)
+    return ScoreCovariance(values=mean, mc_se=se, mc_samples=mc_samples)
 
 
 # ---------------------------------------------------------------------------

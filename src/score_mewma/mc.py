@@ -65,6 +65,9 @@ BUF = 256  # most patients a lane advances per kernel iteration
 STEP = 16  # fewest patients a lane advances per kernel iteration
 LANE_STEPS = 8192  # a block of more than STEP steps stays within this many lane-steps
 _GUIDE_BITS = 12  # a type guide table has 2^12 buckets, read at an output's top 12 bits
+MAX_THREADS = 64  # most worker processes; not the machine's count, so a manifest replays anywhere
+# the longest run a simulation follows: its f_t table holds max_rl floats, 80 MB at 10^7
+MAX_RL = 10**7
 
 ENV_THREADS = "SCORE_MEWMA_THREADS"
 
@@ -72,17 +75,19 @@ ENV_THREADS = "SCORE_MEWMA_THREADS"
 def resolve_threads(threads: int | None = None) -> int:
     """Worker count: explicit argument, else SCORE_MEWMA_THREADS, else auto (0).
 
-    Auto is the number of CPUs this process may run on, at most 4. A
-    negative count, or an environment value that is not an integer, raises
-    ModelConfigError.
+    Auto is the number of CPUs this process may run on, at most 4. A count
+    outside [0, MAX_THREADS], from the argument or the environment, and an
+    environment value that is not an integer, raise ModelConfigError.
     """
     if threads is None:
         raw = os.environ.get(ENV_THREADS, "").strip() or "0"
-        if not raw.isdecimal():
-            raise ModelConfigError(f"{ENV_THREADS} must be a non-negative integer, got {raw!r}")
+        if not raw.isdecimal() or int(raw) > MAX_THREADS:
+            raise ModelConfigError(f"{ENV_THREADS} must be an integer from 0 to {MAX_THREADS}, got {raw!r}")
         threads = int(raw)
     if threads < 0:
         raise ModelConfigError(f"threads must be non-negative, got {threads}")
+    if threads > MAX_THREADS:
+        raise ModelConfigError(f"threads must be at most {MAX_THREADS}, got {threads}")
     if threads == 0:
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
         threads = min(cpus or 1, 4)
@@ -155,16 +160,20 @@ def worker_pool(workers: int) -> ProcessPoolExecutor | None:
 
 
 def shutdown_pool(executor: ProcessPoolExecutor | None = None) -> None:
-    """Cancel the worker pool's queued chunks, wait for the running ones and
-    stop its workers; the next call that needs workers forks new ones.
-    Given an ``executor`` that is no longer the pool, do nothing."""
+    """Stop the worker pool's workers, and with them its running chunks, and
+    cancel its queued chunks; the next call that needs workers forks new
+    ones. Given an ``executor`` that is no longer the pool, do nothing."""
     global _pool
     with _pool_lock:
         if _pool is None or executor not in (None, _pool[2]):
             return
-        owner, _, running, _ = _pool
+        owner, _, running, procs = _pool
         _pool = None
         if owner == os.getpid():  # a forked child leaves its parent's pool alone
+            # terminated first, as CPython's broken-pool path does: after a worker's
+            # death an idle survivor may hold the call queue's lock and never be joined
+            for proc in procs:
+                proc.terminate()
             running.shutdown(wait=True, cancel_futures=True)
 
 
@@ -287,6 +296,10 @@ class PatientGenerator:
     params: ParamVector
     covariates: CovariateModel
     mu_shift: tuple[str, str, float] | None = None  # (node id, kind, c)
+
+    def __post_init__(self):
+        if len(self.params) != self.spec.n_params:
+            raise ModelConfigError("params do not match the model's coefficient layout")
 
     @cached_property
     def _type_law(self) -> tuple[np.ndarray, np.ndarray] | None:
@@ -610,13 +623,15 @@ def _run_pickled_chunk(blob: bytes, *args):
 
 
 def _check_run_size(reps: int, max_rl: int) -> None:
-    """ModelConfigError unless 1 <= reps <= 2**32 and max_rl >= 1."""
+    """ModelConfigError unless 1 <= reps <= 2**32 and 1 <= max_rl <= MAX_RL."""
     if reps < 1:
         raise ModelConfigError("reps must be at least 1")
     if reps > 2**32:
         raise ModelConfigError(f"reps must be at most 2**32, got {reps}")
     if max_rl < 1:
         raise ModelConfigError("max_rl must be at least 1")
+    if max_rl > MAX_RL:
+        raise ModelConfigError(f"max_rl must be at most {MAX_RL}, got {max_rl}")
 
 
 def simulate_run_lengths(

@@ -120,7 +120,7 @@ def test_criterion_2_generator_matches_enumeration(model):
         assert time.time() - start < 60.0
 
 
-def test_criterion_3_score_covariance_law(model, sigma_s):
+def test_criterion_3_score_covariance_law(model, sigma_s, monkeypatch):
     with criterion(3, "sample score covariance matches expected; exact agrees with Monte Carlo"):
         start = time.time()
         gen = sm.in_control_generator(model)
@@ -133,6 +133,7 @@ def test_criterion_3_score_covariance_law(model, sigma_s):
         gap = np.abs(sample_cov - sigma_s)
         assert np.all(gap <= 3.0 * se + 1e-12), f"max z = {np.max(gap / se):.2f}"
 
+        monkeypatch.setattr(sm.model, "ENUM_LIMIT", 0)
         mc = sm.expected_score_covariance(
             model.spec, model.params, model.covariates, mc_samples=100_000, seed=30_002
         )

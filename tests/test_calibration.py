@@ -295,3 +295,13 @@ def test_signal_fraction_consistent_with_target(delivery, setup):
     res = sm.estimate_arl(gen, delivery.params, config.with_h(cal.h), reps=3000, max_rl=int(target), seed=15)
     frac = 1.0 - res.censored / res.reps
     assert 0.40 < frac < 0.85
+
+
+def test_a_default_max_rl_beyond_the_bound_names_the_option(setup, delivery, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started for an invalid max_rl")
+
+    monkeypatch.setattr(sm.mc, "_CompiledSim", forbidden)
+    gen, config = setup
+    with pytest.raises(sm.ModelConfigError, match=r"20 times the target ARL, is 10000020.*--max-rl"):
+        sm.calibrate_h(gen, delivery.params, config, target_arl=500_001.0)

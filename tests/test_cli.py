@@ -1,9 +1,11 @@
+import argparse
 import gc
 import hashlib
 import io
 import json
 import multiprocessing
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -16,7 +18,7 @@ import pytest
 
 import score_mewma as sm
 from score_mewma import io as fio
-from score_mewma.cli import EXIT_BROKEN_PIPE, main, rerun_from_manifest
+from score_mewma.cli import EXIT_BROKEN_PIPE, build_parser, main, rerun_from_manifest
 
 from conftest import delivery_with_risk_factors
 
@@ -160,13 +162,15 @@ def test_calibrate_validation_exit_codes(work, tmp_path):
     assert run("calibrate", model, model, "--target-arl", 0.5, "-o", tmp_path / "x.json") == 2
 
 
-def test_exact_sigma_above_the_enumeration_limit_names_the_mc_option(tmp_path, capsys):
+def test_calibrate_above_the_enumeration_limit_uses_monte_carlo_and_reruns(tmp_path):
     big = tmp_path / "big.json"
     big.write_text(sm.serialize_model_spec(delivery_with_risk_factors(9)))  # 17 binary variables
-    assert run("calibrate", big, big, "--target-arl", 20, "--reps", 100, "-o", tmp_path / "cal.json") == 2
-    err = capsys.readouterr().err
-    assert "--sigma-mode mc" in err and "Traceback" not in err
-    assert not (tmp_path / "cal.json").exists()
+    out, again = tmp_path / "cal.json", tmp_path / "again.json"
+    assert run("calibrate", big, big, "--target-arl", 20, "--reps", 100, "-o", out) == 0
+    config = fio.read_json_report(str(out))["payload"]["config"]
+    assert config["sigma_s_mode"] == "monte-carlo" and config["sigma_samples"] == 100_000
+    assert rerun_from_manifest(str(out), str(again)) == 0
+    assert fio.payload_bytes(str(again)) == fio.payload_bytes(str(out))
 
 
 def test_calibrate_small_reps_caps_every_stage(work, tmp_path):
@@ -300,12 +304,14 @@ def test_monitor_malformed_row_stops_with_code_2(work, tmp_path):
 
 def test_monitor_echoes_sigma_samples_in_mc_mode_only(work, tmp_path):
     root, model = work
-    data_csv = tmp_path / "few.csv"
+    big = tmp_path / "big.json"
+    big.write_text(sm.serialize_model_spec(delivery_with_risk_factors(9)))  # 17 binary variables
+    data_csv, big_csv = tmp_path / "few.csv", tmp_path / "big.csv"
     assert run("simulate", model, model, "--n", 5, "--seed", 2, "-o", data_csv) == 0
+    assert run("simulate", big, big, "--n", 5, "--seed", 2, "-o", big_csv) == 0
     exact, mc = tmp_path / "exact.csv", tmp_path / "mc.csv"
-    assert run("monitor", model, model, data_csv, "--h", 10, "-o", exact) == 0
-    assert run("monitor", model, model, data_csv, "--h", 10, "--sigma-mode", "mc",
-               "--sigma-samples", 100_001, "-o", mc) == 0
+    assert run("monitor", model, model, data_csv, "--h", 10, "--sigma-samples", 100_001, "-o", exact) == 0
+    assert run("monitor", big, big, big_csv, "--h", 10, "--sigma-samples", 100_001, "-o", mc) == 0
     assert fio.read_manifest(str(exact))["config"] == {
         "h": 10.0, "r": 0.1, "warmup": 1, "covariance_mode": "exact-recursive", "sigma_s_mode": "exact",
     }
@@ -385,6 +391,21 @@ def test_version_and_usage():
     assert main(["simulate"]) == 2
 
 
+def _option_strings(parser):
+    for action in parser._actions:
+        yield from action.option_strings
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _option_strings(sub)
+
+
+def test_readme_names_only_real_options():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", readme))
+    assert "--threads" in named
+    assert sorted(named - set(_option_strings(build_parser()))) == []
+
+
 def test_singular_chart_covariance_exits_2(work, tmp_path, capsys):
     root, model = work
     doc = json.loads(Path(model).read_text())
@@ -461,12 +482,48 @@ def test_threads_env_not_an_integer_exits_2(work, tmp_path, monkeypatch, capsys)
     assert "Traceback" not in err
 
 
+def test_too_many_threads_exit_2_before_any_worker_starts(work, tmp_path, monkeypatch, capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(sm.mc, "worker_pool", forbidden)
+    monkeypatch.setattr(sm.shifts, "worker_pool", forbidden)
+    root, model = work
+    out = tmp_path / "out"
+    study = ("study", model, model, "--shift", "coefficient", "--targets", "beta24",
+             "--c-grid", "1.0,1.5", "--h", 10, "--reps", 20, "--max-rl", 50)
+    assert run("calibrate", model, model, "--target-arl", 20, "--threads", 10_000, "-o", out) == 2
+    assert run(*study, "--threads", 65, "-o", out) == 2
+    assert capsys.readouterr().err.count("must be at most 64") == 2
+    monkeypatch.setenv("SCORE_MEWMA_THREADS", "65")
+    assert run(*study, "-o", out) == 2
+    err = capsys.readouterr().err
+    assert "SCORE_MEWMA_THREADS must be an integer from 0 to 64, got '65'" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_max_rl_beyond_the_bound_exits_2(work, tmp_path, monkeypatch, capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a simulation was started")
+
+    monkeypatch.setattr(sm.mc, "_CompiledSim", forbidden)
+    root, model = work
+    out = tmp_path / "out"
+    assert run("calibrate", model, model, "--target-arl", 20, "--max-rl", 10**12, "-o", out) == 2
+    assert run("study", model, model, "--shift", "coefficient", "--targets", "beta24",
+               "--c-grid", "1.0", "--h", 10, "--max-rl", 10_000_001, "-o", out) == 2
+    assert capsys.readouterr().err.count("must be at most 10000000") == 2
+    assert run("calibrate", model, model, "--target-arl", 500_001, "-o", out) == 2
+    err = capsys.readouterr().err
+    assert "--max-rl" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_negative_threads_and_few_sigma_samples_rejected_at_parse_time(work, tmp_path, capsys):
     root, model = work
     out = tmp_path / "cal.json"
     assert run("calibrate", model, model, "--target-arl", 20, "--threads", -4, "-o", out) == 2
-    assert run("calibrate", model, model, "--target-arl", 20, "--sigma-mode", "mc",
-               "--sigma-samples", 10, "-o", out) == 2
+    assert run("calibrate", model, model, "--target-arl", 20, "--sigma-samples", 10, "-o", out) == 2
     assert not out.exists()
     err = capsys.readouterr().err
     assert "must be at least 0" in err and "must be at least 100000" in err

@@ -111,8 +111,9 @@ def test_expected_score_covariance_intercept_only():
     assert abs(cov.values[0, 0] - mu * (1 - mu)) < 1e-14
 
 
-def test_expected_score_covariance_exact_vs_mc(delivery):
+def test_expected_score_covariance_exact_vs_mc(delivery, monkeypatch):
     exact = sm.expected_score_covariance(delivery.spec, delivery.params, delivery.covariates)
+    monkeypatch.setattr(sm.model, "ENUM_LIMIT", 0)
     mc = sm.expected_score_covariance(
         delivery.spec, delivery.params, delivery.covariates, mc_samples=100_000, seed=4
     )
@@ -121,10 +122,10 @@ def test_expected_score_covariance_exact_vs_mc(delivery):
     assert np.all(gap <= 3.0 * mc.mc_se + 1e-12)
 
 
-def test_expected_score_covariance_limit_error():
+def test_expected_score_covariance_above_the_limit_is_monte_carlo():
     big = delivery_with_risk_factors(9)  # 17 binary variables
-    with pytest.raises(sm.ModelConfigError, match="enumeration limit"):
-        sm.expected_score_covariance(big.spec, big.params, big.covariates)
+    cov = sm.expected_score_covariance(big.spec, big.params, big.covariates)
+    assert cov.mode == "monte-carlo" and cov.mc_samples == 100_000
 
 
 def test_score_sample_covariance_matches_sigma_s(delivery):

@@ -177,6 +177,13 @@ def test_params0_of_another_layout_is_rejected(delivery, chart):
         )
 
 
+def test_generator_params_of_another_layout_are_rejected_at_construction(delivery):
+    from conftest import two_node_model
+
+    with pytest.raises(sm.ModelConfigError, match="params do not match the model's coefficient layout"):
+        sm.PatientGenerator(delivery.spec, two_node_model().params, delivery.covariates)
+
+
 def _sixteen_bit_model():
     """65,536 patient types; type i >= 2^15 has Y4 = 1, which is likely, so
     many of those types fill a guide bucket by themselves."""
@@ -389,6 +396,19 @@ def test_resolve_threads_rejects_bad_counts(monkeypatch):
     for raw in ("abc", "-2", "1.5"):
         monkeypatch.setenv("SCORE_MEWMA_THREADS", raw)
         with pytest.raises(sm.ModelConfigError, match="SCORE_MEWMA_THREADS"):
+            sm.resolve_threads()
+
+
+def test_resolve_threads_bounds_explicit_counts(monkeypatch):
+    """A fixed bound, not the machine's, on the argument and the variable alike."""
+    assert sm.resolve_threads(64) == 64
+    with pytest.raises(sm.ModelConfigError, match="at most 64, got 65"):
+        sm.resolve_threads(65)
+    monkeypatch.setenv("SCORE_MEWMA_THREADS", "64")
+    assert sm.resolve_threads() == 64
+    for raw in ("65", "10000"):
+        monkeypatch.setenv("SCORE_MEWMA_THREADS", raw)
+        with pytest.raises(sm.ModelConfigError, match=f"SCORE_MEWMA_THREADS must be .* 0 to 64, got '{raw}'"):
             sm.resolve_threads()
 
 
@@ -666,6 +686,20 @@ def test_reps_beyond_one_spawn_word_raise_before_any_work(delivery, chart, monke
         simulate_run_lengths(gen, delivery.params, chart, reps=2**32 + 1, max_rl=10, seed=0)
 
 
+@pytest.mark.parametrize("phase1_size", [None, 500], ids=["plain", "phase1"])
+def test_max_rl_beyond_the_bound_raises_before_any_work(delivery, chart, monkeypatch, phase1_size):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started for an invalid max_rl")
+
+    for module in (mc, sm.calibrate):
+        for name in ("_CompiledSim", "sample_patients"):
+            monkeypatch.setattr(module, name, forbidden)
+    monkeypatch.setattr(mc, "worker_pool", forbidden)
+    gen = sm.in_control_generator(delivery)
+    with pytest.raises(sm.ModelConfigError, match="max_rl must be at most 10000000, got 10000001"):
+        sm.estimate_arl(gen, delivery.params, chart, reps=5, max_rl=mc.MAX_RL + 1, seed=0, phase1_size=phase1_size)
+
+
 def _acceptance_config(delivery, **kw):
     sigma = sm.expected_score_covariance(delivery.spec, delivery.params, delivery.covariates).values
     return sm.ChartConfig(sigma_s=sigma, covariance_mode="exact-recursive", **dict(_ACCEPTANCE_CHART, **kw))
@@ -936,6 +970,28 @@ def test_a_killed_worker_is_replaced_by_the_next_call(delivery, chart):
     for a, b in zip(got.records, expected.records, strict=True):
         np.testing.assert_array_equal(a, b)
     assert victim not in multiprocessing.active_children() and mc.worker_pool(2) is not pool
+
+
+@pytest.mark.parametrize("victim", [0, 1])
+def test_shutdown_right_after_a_worker_dies_returns(victim):
+    """An idle survivor may hold the call queue's lock when its mate dies, so
+    shutting the pool down must not wait for it. The script ends with
+    os._exit, so that a stuck manager thread cannot hold up its exit."""
+    _fork_pool_or_skip()
+    script = (
+        "import os, signal\n"
+        "from score_mewma import mc\n"
+        "mc.worker_pool(2)\n"
+        f"os.kill(mc._pool[3][{victim}].pid, signal.SIGKILL)\n"
+        "mc.shutdown_pool()\n"
+        "print('stopped', flush=True)\n"
+        "os._exit(0)\n"
+    )
+    try:
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=30)
+    except subprocess.TimeoutExpired:  # subprocess.run has killed the script
+        pytest.fail("shutdown_pool did not return within 30 s of a worker's death")
+    assert proc.returncode == 0 and proc.stdout == "stopped\n", proc.stderr
 
 
 def test_workers_ignore_ctrl_c(delivery, chart):
