@@ -30,7 +30,7 @@ from .errors import (
     ShiftError,
     SingularMatrixError,
 )
-from .likelihood import MIN_MC_SAMPLES, expected_score_covariance, fit_mle
+from .likelihood import MAX_MC_SAMPLES, MIN_MC_SAMPLES, expected_score_covariance, fit_mle
 from .mc import MAX_RL, MAX_THREADS, PatientGenerator, sample_patients, shutdown_pool
 from .model import model_hash
 from .shifts import (
@@ -261,8 +261,8 @@ def _add_chart_options(p: argparse.ArgumentParser) -> None:
         default=EXACT_RECURSIVE,
         help="chart covariance: time-varying recursion or its limit",
     )
-    p.add_argument("--sigma-samples", type=_int_at_least(MIN_MC_SAMPLES), default=MIN_MC_SAMPLES,
-                   help=f"Monte Carlo patients for a model above the enumeration limit (at least {MIN_MC_SAMPLES})")
+    p.add_argument("--sigma-samples", type=_int_at_least(MIN_MC_SAMPLES, MAX_MC_SAMPLES), default=MIN_MC_SAMPLES,
+                   help=f"Monte Carlo patients above the enumeration limit ({MIN_MC_SAMPLES} to {MAX_MC_SAMPLES})")
     p.add_argument("--threads", type=_int_at_least(0, MAX_THREADS), default=None,
                    help=f"worker processes, 0 for auto, at most {MAX_THREADS} (default: SCORE_MEWMA_THREADS "
                    "or auto); never changes a result")

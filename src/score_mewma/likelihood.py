@@ -128,8 +128,9 @@ class ScoreCovariance:
         return "monte-carlo" if self.mc_samples else "exact"
 
 
-# the fewest patients the Monte Carlo score covariance may average over
+# the fewest and the most patients the Monte Carlo score covariance may average over
 MIN_MC_SAMPLES = 100_000
+MAX_MC_SAMPLES = 10**7  # it holds about 360 bytes a patient at its peak, 3.6 GB at this bound
 
 
 def expected_score_covariance(
@@ -144,11 +145,13 @@ def expected_score_covariance(
     Up to ``model.ENUM_LIMIT`` binary variables the patient types are
     enumerated exactly; above it, it is a Monte Carlo average over
     ``mc_samples`` patients sampled from ``seed``, with an entrywise
-    standard error estimate. Fewer than 100,000 samples raise
+    standard error estimate. A count outside [100,000, 10,000,000] raises
     ModelConfigError at any model size.
     """
-    if mc_samples < MIN_MC_SAMPLES:
-        raise ModelConfigError(f"mc_samples must be at least {MIN_MC_SAMPLES}, got {mc_samples}")
+    if not MIN_MC_SAMPLES <= mc_samples <= MAX_MC_SAMPLES:
+        raise ModelConfigError(
+            f"mc_samples must be at least {MIN_MC_SAMPLES} and at most {MAX_MC_SAMPLES}, got {mc_samples}"
+        )
     if sum(spec.widths) <= model.ENUM_LIMIT:
         data, probs = enumerate_patients(spec, params, covariates)
         return ScoreCovariance(values=_weighted_information(spec, params, data.bits, probs))

@@ -45,6 +45,7 @@ import signal
 import threading
 import time
 import warnings
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -61,6 +62,7 @@ from .model import CovariateModel, DagModelSpec, ParamVector, PatientData, joint
 from .model import node_means, type_bits
 
 CHUNK = 2048  # replications per work unit; fixed so worker count cannot matter
+IN_FLIGHT = 2  # most chunks per worker a batch keeps queued or running on the pool
 BUF = 256  # most patients a lane advances per kernel iteration
 STEP = 16  # fewest patients a lane advances per kernel iteration
 LANE_STEPS = 8192  # a block of more than STEP steps stays within this many lane-steps
@@ -118,9 +120,7 @@ def worker_pool(workers: int) -> ProcessPoolExecutor | None:
 
     None, and runs stay in process, at one worker or where ``fork`` is not
     the platform's default start method. The pool is forked again when a
-    call asks for another worker count or one of its workers has died. A
-    caller that runs threads of its own starts the pool before them, so the
-    fork happens while no thread of the package runs.
+    call asks for another worker count or one of its workers has died.
     """
     global _pool
     if workers <= 1 or multiprocessing.get_all_start_methods()[0] != "fork":
@@ -140,8 +140,8 @@ def worker_pool(workers: int) -> ProcessPoolExecutor | None:
         try:
             with warnings.catch_warnings():
                 # Python 3.12+ warns about any fork in a process with more
-                # than one OS thread. Started before any thread of the
-                # package, the pool forks while the only other threads are
+                # than one OS thread. The package starts no thread in this
+                # process, so the pool forks while the only other threads are
                 # OpenBLAS's idle pool (numpy starts one, scipy another),
                 # which re-initialises in the child through its
                 # pthread_atfork handler.
@@ -634,6 +634,59 @@ def _check_run_size(reps: int, max_rl: int) -> None:
         raise ModelConfigError(f"max_rl must be at most {MAX_RL}, got {max_rl}")
 
 
+def _simulate_passes(passes, threads: int | None) -> list[RunLengthSample]:
+    """``simulate_run_lengths`` of each pass, a tuple (generator, params0,
+    config, reps, max_rl, seed, cap, track_records). All passes are checked
+    before any chunk is queued. A pass's ``_CompiledSim`` is built and pickled
+    here while the pool runs earlier chunks, and at most ``IN_FLIGHT`` chunks
+    per worker are queued or running: the oldest is waited for first."""
+    checked = []
+    for generator, params0, config, reps, max_rl, seed, cap, track_records in passes:
+        _check_run_size(reps, max_rl)
+        cap = config.h if cap is None else cap
+        if cap is None:
+            raise ModelConfigError("either config.h or an explicit cap is required")
+        if math.isnan(cap):
+            raise ModelConfigError("cap must be a number, got nan")
+        chunks = [(lo, min(lo + CHUNK, reps) - lo) for lo in range(0, reps, CHUNK)]
+        checked.append((generator, params0, config, max_rl, _seed_key(seed), float(cap), track_records, chunks))
+    workers = resolve_threads(threads)
+    pool = worker_pool(workers)
+    results = [[] for _ in checked]
+    queued = deque()  # (pass index, future) of the chunks on the pool, oldest first
+    try:
+        for i, (generator, params0, config, max_rl, seed_key, cap, track_records, chunks) in enumerate(checked):
+            sim = _CompiledSim(generator, params0, config, max_rl)
+            if pool is None:
+                results[i] = [_run_chunk(sim, seed_key, chunk, cap, max_rl, track_records) for chunk in chunks]
+                continue
+            blob = pickle.dumps(sim, protocol=pickle.HIGHEST_PROTOCOL)
+            for chunk in chunks:
+                if len(queued) == IN_FLIGHT * workers:
+                    j, future = queued.popleft()
+                    results[j].append(future.result())
+                queued.append((i, pool.submit(_run_pickled_chunk, blob, seed_key, chunk, cap, max_rl, track_records)))
+        while queued:
+            j, future = queued.popleft()
+            results[j].append(future.result())
+    except BrokenProcessPool:
+        shutdown_pool(pool)  # the next call forks a fresh pool
+        raise
+    finally:
+        for _, future in queued:  # after an error or an interrupt, queued chunks need not run
+            future.cancel()
+
+    samples = []
+    for (_, _, _, max_rl, _, cap, track_records, chunks), chunk_results in zip(checked, results):
+        run_lengths, resolved, chunk_records = zip(*chunk_results)
+        records = None
+        if track_records:  # a chunk numbers its replications from 0
+            parts = [(rep + lo, times, values) for (lo, _), (rep, times, values) in zip(chunks, chunk_records)]
+            records = tuple(map(np.concatenate, zip(*parts)))
+        samples.append(RunLengthSample(np.concatenate(run_lengths), np.concatenate(resolved), cap, max_rl, records))
+    return samples
+
+
 def simulate_run_lengths(
     generator: PatientGenerator,
     params0: ParamVector,
@@ -645,43 +698,6 @@ def simulate_run_lengths(
     threads: int | None = None,
     track_records: bool = False,
 ) -> RunLengthSample:
-    """Simulate fresh patient streams and record first crossing times of T2.
-
-    ``cap`` defaults to the config's control limit. With two or more
-    workers every chunk runs on the worker pool (``worker_pool``), and this
-    process only waits. Identical seeds give identical results for any
-    worker count.
-    """
-    _check_run_size(reps, max_rl)
-    if cap is None:
-        cap = config.h
-    if cap is None:
-        raise ModelConfigError("either config.h or an explicit cap is required")
-    if math.isnan(cap):
-        raise ModelConfigError("cap must be a number, got nan")
-    seed_key = _seed_key(seed)
-    sim = _CompiledSim(generator, params0, config, max_rl)
-    chunks = [(lo, min(lo + CHUNK, reps) - lo) for lo in range(0, reps, CHUNK)]
-    pool = worker_pool(resolve_threads(threads))
-    if pool is None:
-        results = [_run_chunk(sim, seed_key, chunk, cap, max_rl, track_records) for chunk in chunks]
-    else:
-        blob = pickle.dumps(sim, protocol=pickle.HIGHEST_PROTOCOL)
-        futures = []
-        try:
-            for chunk in chunks:
-                futures.append(pool.submit(_run_pickled_chunk, blob, seed_key, chunk, cap, max_rl, track_records))
-            results = [f.result() for f in futures]
-        except BrokenProcessPool:
-            shutdown_pool(pool)  # the next call forks a fresh pool
-            raise
-        finally:
-            for f in futures:  # after an error or an interrupt, queued chunks need not run
-                f.cancel()
-
-    run_lengths, resolved, chunk_records = zip(*results)
-    records = None
-    if track_records:  # a chunk numbers its replications from 0
-        parts = [(rep + lo, times, values) for (lo, _), (rep, times, values) in zip(chunks, chunk_records)]
-        records = tuple(map(np.concatenate, zip(*parts)))
-    return RunLengthSample(np.concatenate(run_lengths), np.concatenate(resolved), float(cap), max_rl, records)
+    """The first time T2 exceeds ``cap`` (by default the config's limit) on each of ``reps`` fresh
+    patient streams, as a batch of one pass; a seed gives the same results at any worker count."""
+    return _simulate_passes([(generator, params0, config, reps, max_rl, seed, cap, track_records)], threads)[0]

@@ -9,15 +9,15 @@ monitored patient (zero-state studies).
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .calibrate import ArlResult, estimate_arl
+from .calibrate import ArlResult, _summarize
+from .calibrate import estimate_arl  # noqa: F401  bench/tracing.py patches shifts.estimate_arl
 from .chart import ChartConfig
-from .errors import ShiftError
-from .mc import PatientGenerator, _seed_parts, resolve_threads, shutdown_pool, worker_pool
+from .errors import ModelConfigError, ShiftError
+from .mc import PatientGenerator, _seed_parts, _simulate_passes
 from .model import DagModelSpec, Model, ParamVector, node_designs, node_means
 
 COEFFICIENT = "coefficient"
@@ -162,37 +162,18 @@ class StudyRow:
 
 
 def _run_cases(generator, params0, cases, chart, reps, max_rl, seed, threads) -> list[StudyRow]:
-    """One row per (shift template, c) case; case i is seeded (seed, i).
-
-    With a worker pool the rows run side by side: one thread per worker
-    hands each row's chunks to the pool and waits for them. The pool and
-    the chart's T2 evaluator are made first, in the calling thread.
-    """
+    """One row per (shift template, c) case; case i is seeded (seed, i). The
+    rows are the passes of one ``mc._simulate_passes`` batch, and each is
+    summarised as ``estimate_arl`` summarises its sample."""
     base = _seed_parts(seed)
     shifted = [apply_shift(generator, template.with_c(c)) for template, c in cases]
-    workers = resolve_threads(threads)
-    chart.t2_evaluator  # built once here, not by the first rows side by side
-
-    def arl(i):
-        return estimate_arl(shifted[i], params0, chart, reps=reps, max_rl=max_rl, seed=base + (i,), threads=workers)
-
-    if worker_pool(workers) is None:
-        arls = [arl(i) for i in range(len(cases))]
-    else:
-        rows = ThreadPoolExecutor(workers)
-        try:
-            arls = list(rows.map(arl, range(len(cases))))
-        except BaseException:
-            # drop the rows not started and the chunks not running, so that
-            # an error or a Ctrl-C ends the study within one chunk
-            rows.shutdown(wait=False, cancel_futures=True)
-            shutdown_pool()
-            raise
-        finally:
-            rows.shutdown()
+    if chart.h is None:
+        raise ModelConfigError("config.h must be set to estimate an ARL")
+    passes = [(gen, params0, chart, reps, max_rl, base + (i,), None, False) for i, gen in enumerate(shifted)]
     return [
-        StudyRow(shift_kind=template.kind, targets=template.targets, c=float(c), arl=result)
-        for (template, c), result in zip(cases, arls)
+        StudyRow(shift_kind=template.kind, targets=template.targets, c=float(c),
+                 arl=_summarize(sample.run_lengths, sample.resolved, max_rl))
+        for (template, c), sample in zip(cases, _simulate_passes(passes, threads))
     ]
 
 

@@ -487,7 +487,6 @@ def test_too_many_threads_exit_2_before_any_worker_starts(work, tmp_path, monkey
         raise AssertionError("a worker pool was started")
 
     monkeypatch.setattr(sm.mc, "worker_pool", forbidden)
-    monkeypatch.setattr(sm.shifts, "worker_pool", forbidden)
     root, model = work
     out = tmp_path / "out"
     study = ("study", model, model, "--shift", "coefficient", "--targets", "beta24",
@@ -527,6 +526,18 @@ def test_negative_threads_and_few_sigma_samples_rejected_at_parse_time(work, tmp
     assert not out.exists()
     err = capsys.readouterr().err
     assert "must be at least 0" in err and "must be at least 100000" in err
+
+
+def test_sigma_samples_above_the_bound_rejected_at_parse_time(work, tmp_path, capsys):
+    """Each sample costs the Monte Carlo Sigma_S hundreds of bytes, so a huge
+    count ends at parse time, not in numpy's failed allocation."""
+    root, model = work
+    out = tmp_path / "trace.csv"
+    assert run("monitor", model, model, "-", "--h", 10, "--sigma-samples", 10**7 + 1, "-o", out) == 2
+    assert run("monitor", model, model, "-", "--h", 10, "--sigma-samples", 10**9, "-o", out) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("argument --sigma-samples: must be at most 10000000") == 2 and "Traceback" not in err
 
 
 def _rounded_trace_digest(path):

@@ -335,6 +335,15 @@ def test_expected_score_covariance_rejects_few_mc_samples(delivery):
         )
 
 
+def test_expected_score_covariance_rejects_too_many_mc_samples(delivery):
+    """The bound holds at any model size, as the minimum does, and is checked
+    before any patient is drawn."""
+    with pytest.raises(sm.ModelConfigError, match="at most 10000000, got 10000001"):
+        sm.expected_score_covariance(
+            delivery.spec, delivery.params, delivery.covariates, mc_samples=sm.likelihood.MAX_MC_SAMPLES + 1
+        )
+
+
 def test_fit_mle_reports_log_likelihood_bit_equal(delivery):
     data = sm.sample_patients(sm.in_control_generator(delivery), 2000, 8)
     fit = sm.fit_mle(delivery.spec, data, params_init=delivery.params)

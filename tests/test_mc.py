@@ -17,7 +17,7 @@ from score_mewma.likelihood import score_rows
 from score_mewma.mc import simulate_run_lengths
 from score_mewma.model import node_designs, node_eta, node_means, type_bits
 
-from conftest import oracle_enumerate
+from conftest import oracle_enumerate, two_node_model
 
 
 @pytest.fixture(scope="module")
@@ -1044,3 +1044,138 @@ def test_workers_end_with_their_process(ending):
     while any(_running(pid) for pid in pids):
         assert time.monotonic() < deadline, f"workers {pids} outlived their process"
         time.sleep(0.05)
+
+
+@pytest.mark.parametrize("chunk", [2048, 256, 100])
+def test_run_lengths_do_not_depend_on_the_chunking(delivery, chart, monkeypatch, chunk):
+    """A replication's stream depends only on (seed, rep), so any chunk size
+    gives the run lengths, flags and record highs of one 2048-rep chunk."""
+    gen = sm.in_control_generator(delivery)
+    kw = dict(reps=2 * 256 + 37, max_rl=60, seed=23, track_records=True)
+    expected = simulate_run_lengths(gen, delivery.params, chart, threads=1, **kw)
+    assert expected.resolved.any() and not expected.resolved.all()
+    monkeypatch.setattr(mc, "CHUNK", chunk)
+    for threads in (1, 2):
+        got = simulate_run_lengths(gen, delivery.params, chart, threads=threads, **kw)
+        np.testing.assert_array_equal(got.run_lengths, expected.run_lengths)
+        np.testing.assert_array_equal(got.resolved, expected.resolved)
+        for a, b in zip(got.records, expected.records, strict=True):
+            np.testing.assert_array_equal(a, b)
+
+
+class _LazyPool:
+    """A stand-in for the worker pool that runs a task when its result is
+    read, and counts the tasks queued and neither read nor cancelled."""
+
+    def __init__(self, fail_at=None):
+        self.futures, self.most_in_flight, self.fail_at = [], 0, fail_at
+
+    def submit(self, fn, *args):
+        self.futures.append(_LazyFuture(fn, args, len(self.futures) == self.fail_at))
+        self.most_in_flight = max(self.most_in_flight, self.in_flight)
+        return self.futures[-1]
+
+    @property
+    def in_flight(self):
+        return sum(not (f.read or f.cancelled) for f in self.futures)
+
+
+class _LazyFuture:
+    def __init__(self, fn, args, fails):
+        self.fn, self.args, self.fails, self.read, self.cancelled = fn, args, fails, False, False
+
+    def result(self):
+        assert not self.cancelled
+        self.read = True
+        if self.fails:
+            raise RuntimeError("chunk failed")
+        return self.fn(*self.args)
+
+    def cancel(self):
+        self.cancelled = not self.read
+        return self.cancelled
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_study_rows_equal_one_estimate_arl_per_row(delivery, chart, threads):
+    """Row i of a study, run in one batch, is estimate_arl of its shifted
+    generator with seed (seed..., i), bit for bit."""
+    gen = sm.in_control_generator(delivery)
+    grid = sm.StudyGrid(
+        shift=sm.ShiftSpec("coefficient", ("beta24",), 0.0), c_values=(0.0, 1.0, 3.0), reps=150, chart=chart,
+        max_rl=200,
+    )
+    rows = sm.run_arl_study(gen, delivery.params, grid, seed=6, threads=threads)
+    pairs = sm.run_pair_study(
+        gen, delivery.params, [("beta23", "beta24")], (2.0,), reps=120, chart=chart, seed=(8, 1), max_rl=200,
+        threads=threads,
+    )
+    for seed, study in (((6,), rows), ((8, 1), pairs)):
+        for i, row in enumerate(study):
+            shifted = sm.apply_shift(gen, sm.ShiftSpec(row.shift_kind, row.targets, row.c))
+            arl = sm.estimate_arl(shifted, delivery.params, chart, reps=row.arl.reps, max_rl=200, seed=seed + (i,))
+            np.testing.assert_array_equal(row.arl.run_lengths, arl.run_lengths)
+            assert (row.arl.mean_rl, row.arl.std_error, row.arl.censored) == (arl.mean_rl, arl.std_error, arl.censored)
+    assert len(rows) == 3 and len(pairs) == 3
+
+
+def test_a_study_keeps_at_most_two_chunks_per_worker_on_the_pool(delivery, chart, monkeypatch):
+    """Three rows of seven chunks each on three workers: the batch keeps six
+    chunks in flight, and the rows equal those run in process."""
+    gen = sm.in_control_generator(delivery)
+    grid = sm.StudyGrid(
+        shift=sm.ShiftSpec("mean-odds", ("Y3",), 1.0), c_values=(1.0, 2.0, 4.0), reps=100, chart=chart, max_rl=200,
+    )
+    expected = sm.run_arl_study(gen, delivery.params, grid, seed=3, threads=1)
+    pool = _LazyPool()
+    monkeypatch.setattr(mc, "worker_pool", lambda workers: pool)
+    monkeypatch.setattr(mc, "CHUNK", 16)
+    rows = sm.run_arl_study(gen, delivery.params, grid, seed=3, threads=3)
+    assert len(pool.futures) == 3 * 7 and pool.most_in_flight == mc.IN_FLIGHT * 3 == 6
+    assert all(f.read for f in pool.futures)
+    for got, want in zip(rows, expected, strict=True):
+        np.testing.assert_array_equal(got.arl.run_lengths, want.arl.run_lengths)
+
+
+@pytest.mark.parametrize("failure", ["chunk", "pass"])
+def test_a_failing_pass_cancels_the_queued_chunks(delivery, chart, monkeypatch, failure):
+    """A chunk that raises, or a pass whose simulation cannot be built,
+    ends the batch, and no chunk still queued runs."""
+    gen = sm.in_control_generator(delivery)
+    pool = _LazyPool(fail_at=5 if failure == "chunk" else None)
+    monkeypatch.setattr(mc, "worker_pool", lambda workers: pool)
+    monkeypatch.setattr(mc, "CHUNK", 16)
+    params = [delivery.params] * 2 + [delivery.params if failure == "chunk" else two_node_model().params]
+    passes = [(gen, p, chart, 100, 200, (2, i), None, False) for i, p in enumerate(params)]
+    with pytest.raises(RuntimeError if failure == "chunk" else sm.ModelConfigError):
+        mc._simulate_passes(passes, threads=2)
+    # a window of 4: chunk 5 fails when read, before chunk 9 is queued, so
+    # chunks 6 to 8 are queued; the third pass fails after chunk 13 is queued
+    queued = [6, 7, 8] if failure == "chunk" else [10, 11, 12, 13]
+    assert [i for i, f in enumerate(pool.futures) if f.cancelled] == queued
+    assert pool.in_flight == 0 and len(pool.futures) == queued[-1] + 1
+
+
+@pytest.mark.parametrize(
+    "bad, match",
+    [
+        (dict(reps=0), "reps must be at least 1"),
+        (dict(max_rl=mc.MAX_RL + 1), "max_rl must be at most"),
+        (dict(cap=float("nan")), "cap must be a number"),
+        (dict(seed=-1), "seed"),
+    ],
+    ids=["reps", "max_rl", "cap", "seed"],
+)
+def test_no_chunk_is_queued_when_a_later_pass_fails_its_checks(delivery, chart, monkeypatch, bad, match):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a simulation was built before every pass was checked")
+
+    pool = _LazyPool()
+    monkeypatch.setattr(mc, "worker_pool", lambda workers: pool)
+    monkeypatch.setattr(mc, "_CompiledSim", forbidden)
+    good = dict(generator=sm.in_control_generator(delivery), params0=delivery.params, config=chart, reps=100,
+                max_rl=200, seed=1, cap=None, track_records=False)
+    passes = [tuple(good.values()), tuple(dict(good, **bad).values())]
+    with pytest.raises(sm.ModelConfigError, match=match):
+        mc._simulate_passes(passes, threads=2)
+    assert pool.futures == []
