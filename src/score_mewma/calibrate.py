@@ -124,6 +124,8 @@ def estimate_arl(
     outputs of the replication's stream, and its monitored patients the
     outputs after them, and it runs on the same Monte Carlo kernel as the
     plain estimate, one replication at a time, so ``threads`` has no effect.
+    A ``phase1_size`` outside [1, ``likelihood.MAX_MC_SAMPLES``] raises
+    ModelConfigError.
     """
     if config.h is None:
         raise ModelConfigError("config.h must be set to estimate an ARL")
@@ -138,10 +140,12 @@ def estimate_arl(
 
 def _estimate_arl_phase1(generator, params0, config, reps, max_rl, seed, phase1_size) -> ArlResult:
     """Per-replication Phase-I refit, then the replication's run on the kernel."""
-    from .likelihood import expected_score_covariance, fit_mle
+    from .likelihood import MAX_MC_SAMPLES, expected_score_covariance, fit_mle
 
     if phase1_size < 1:
         raise ModelConfigError("phase1_size must be at least 1")
+    if phase1_size > MAX_MC_SAMPLES:
+        raise ModelConfigError(f"phase1_size must be at most {MAX_MC_SAMPLES}, got {phase1_size}")
     spec = generator.spec
     if len(params0) != spec.n_params:
         raise ModelConfigError("params0 does not match the model's coefficient layout")

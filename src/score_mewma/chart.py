@@ -186,6 +186,10 @@ class T2Evaluator:
         self._matrices = mats  # M_1, ..., M_cap
         self._inverses = np.linalg.inv(mats)
         self._matrices.flags.writeable = self._inverses.flags.writeable = False
+        self._whitener = None
+        if self._r0 is not None:
+            self._whitener = np.linalg.cholesky(self._inverses[0])
+            self._whitener.flags.writeable = False
 
     def _index(self, t: int) -> int:
         """Position of M_t; M_t = M_cap beyond the cap."""
@@ -206,12 +210,10 @@ class T2Evaluator:
 
     def whitener(self) -> np.ndarray | None:
         """With equal smoothing, the lower Cholesky factor W of Sigma_S^{-1},
-        taken after the conditioning check; None with unequal smoothing.
-        Sigma_S is block-diagonal by node, so W is too, and the columns of
-        z = w W of one node carry that node's share of T2."""
-        if self._r0 is None:
-            return None
-        return np.linalg.cholesky(self.inverse(1))
+        taken once after the conditioning check and read-only; None with
+        unequal smoothing. Sigma_S is block-diagonal by node, so W is too,
+        and the columns of z = w W of one node carry that node's share of T2."""
+        return self._whitener
 
     def sigma_w(self, t: int) -> np.ndarray:
         """Sigma_W,t = f_t M_t; zero at t = 0."""

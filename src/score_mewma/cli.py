@@ -324,7 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="write a synthetic patient CSV")
     p.add_argument("model_config")
     p.add_argument("params")
-    p.add_argument("--n", type=_int_at_least(1), required=True)
+    p.add_argument("--n", type=_int_at_least(1, MAX_MC_SAMPLES), required=True,
+                   help=f"patients to draw, at most {MAX_MC_SAMPLES}")
     p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--shift", default=None, choices=SHIFT_KINDS)
     p.add_argument("--targets", default=None)

@@ -31,7 +31,7 @@ from .version import __version__
 ID_COLUMNS = ("patient_id", "id")
 
 MANIFEST_PREFIX = "# manifest: "
-MAX_C_GRID = 10_000  # most points a start:stop:step range may hold
+MAX_C_GRID = 10_000  # most points a c grid may hold, as a list or as a range
 
 
 def make_manifest(command: str, argv, model_hash: str, seed: int | None, config: Mapping[str, Any]) -> dict[str, Any]:
@@ -221,7 +221,7 @@ def parse_c_grid(text: str) -> list[float]:
     """Grid syntax: explicit list "a,b,c" or inclusive range "start:stop:step".
 
     Range endpoints are included when they land on the grid within 1e-9;
-    a range of more than MAX_C_GRID points raises DataFormatError.
+    a list or a range of more than MAX_C_GRID points raises DataFormatError.
     """
     text = text.strip()
     if ":" in text:
@@ -244,9 +244,13 @@ def parse_c_grid(text: str) -> list[float]:
             raise DataFormatError(f"bad c grid {text!r}: {count + 1} points, more than {MAX_C_GRID}")
         return [round(start + i * step, 12) for i in range(count + 1)]
     try:
-        return [float(p) for p in text.split(",") if p.strip() != ""]
+        values = [float(p) for p in text.split(",") if p.strip() != ""]
     except ValueError:
         raise DataFormatError(f"bad c grid {text!r}: non-numeric entry") from None
+    if len(values) > MAX_C_GRID:
+        # without the text, which may run to tens of thousands of characters
+        raise DataFormatError(f"bad c grid: a list of {len(values)} points, more than {MAX_C_GRID}")
+    return values
 
 
 def load_model_config(path: str) -> Model:

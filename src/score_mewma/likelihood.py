@@ -128,7 +128,8 @@ class ScoreCovariance:
         return "monte-carlo" if self.mc_samples else "exact"
 
 
-# the fewest and the most patients the Monte Carlo score covariance may average over
+# the fewest and the most patients the Monte Carlo score covariance may average
+# over; the most is also the most that one sample_patients call may draw
 MIN_MC_SAMPLES = 100_000
 MAX_MC_SAMPLES = 10**7  # it holds about 360 bytes a patient at its peak, 3.6 GB at this bound
 
@@ -187,6 +188,9 @@ _HALVINGS = 30
 _LP_EPS = 1e-6
 # The most parents a node may have: its parent patterns are keyed as int64.
 _MAX_PARENTS = 62
+# A node's q-parent patterns are counted in 2^q bins, not sorted, while the
+# bins are at most this many a record: the count is then linear in the records.
+_DENSE_BINS_PER_RECORD = 1
 
 
 @dataclass(frozen=True)
@@ -236,11 +240,14 @@ class _Cells(NamedTuple):
 
 
 def _node_cells(node_id: str, design: NodeDesign, bits: np.ndarray) -> _Cells:
-    """Group 0/1 bit rows by the node's parent pattern.
+    """Group 0/1 bit rows by the node's parent pattern, in ascending key order.
 
     Each pattern is keyed by its bits as one int64, so the node may have at
-    most _MAX_PARENTS parents. np.unique on the rows has no such limit, but
-    sorting float rows makes fit_mle about four times slower at n = 2000.
+    most _MAX_PARENTS parents. While the 2^q keys are at most
+    _DENSE_BINS_PER_RECORD a record, two bincounts over them count each
+    pattern, so nothing is sorted; otherwise np.unique sorts the keys (on the float rows it has
+    no parent limit, but makes fit_mle about four times slower at
+    n = 2000). The counts are integers, so both give the same cells.
     """
     q = len(design.cols)
     if q > _MAX_PARENTS:
@@ -248,11 +255,22 @@ def _node_cells(node_id: str, design: NodeDesign, bits: np.ndarray) -> _Cells:
             f"node {node_id}: the likelihood supports at most {_MAX_PARENTS} parents "
             f"per node, got {q}"
         )
-    keys, inv = np.unique((bits[:, design.cols] > 0.5) @ (1 << np.arange(q)), return_inverse=True)
+    if 1 << q <= _DENSE_BINS_PER_RECORD * len(bits):
+        # a key is a sum of powers of 2 below 2^q, far below 2^53, so exact in floats
+        cols = np.asarray(design.cols, dtype=np.intp)
+        place = np.bincount(cols, weights=2.0 ** np.arange(q), minlength=bits.shape[1])
+        keys = (bits @ place).astype(np.intp)
+        total = np.bincount(keys, minlength=1 << q)
+        ones = np.bincount(keys, weights=bits[:, design.out_col], minlength=1 << q)
+        keys = np.flatnonzero(total)
+        total, ones = total[keys].astype(float), ones[keys]
+    else:
+        keys = (bits[:, design.cols] > 0.5) @ (1 << np.arange(q))
+        keys, inv = np.unique(keys, return_inverse=True)
+        ones = np.bincount(inv, weights=bits[:, design.out_col], minlength=len(keys))
+        total = np.bincount(inv, minlength=len(keys)).astype(float)
     cell_bits = np.zeros((len(keys), bits.shape[1]))
     cell_bits[:, design.cols] = (keys[:, None] >> np.arange(q)) & 1
-    ones = np.bincount(inv, weights=bits[:, design.out_col], minlength=len(keys))
-    total = np.bincount(inv, minlength=len(keys)).astype(float)
     return _Cells(design, cell_bits, _design_rows(design, cell_bits), total, ones)
 
 

@@ -57,7 +57,7 @@ from scipy.special import expit
 from . import model
 from .chart import ChartConfig
 from .errors import ModelConfigError, ShiftError
-from .likelihood import score_rows
+from .likelihood import MAX_MC_SAMPLES, score_rows
 from .model import CovariateModel, DagModelSpec, ParamVector, PatientData, joint_probs, node_designs, node_eta
 from .model import node_means, type_bits
 
@@ -385,10 +385,13 @@ def sample_patients(generator: PatientGenerator, n: int, rng) -> PatientData:
     probabilities through their guide table (``_guided_types``), the type
     the binary search would pick from the output's uniform. Above the
     limit, and from a Generator or a seed, a patient reads k uniforms laid
-    out ``[x | z | y]``, from which ``_generate`` samples it.
+    out ``[x | z | y]``, from which ``_generate`` samples it. An n outside
+    [1, ``likelihood.MAX_MC_SAMPLES``] raises ModelConfigError.
     """
     if n < 1:
         raise ModelConfigError("n must be at least 1")
+    if n > MAX_MC_SAMPLES:
+        raise ModelConfigError(f"n must be at most {MAX_MC_SAMPLES}, got {n}")
     spec = generator.spec
     k = sum(spec.widths)
     if not isinstance(rng, ReplicationStream):

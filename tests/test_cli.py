@@ -540,6 +540,22 @@ def test_sigma_samples_above_the_bound_rejected_at_parse_time(work, tmp_path, ca
     assert err.count("argument --sigma-samples: must be at most 10000000") == 2 and "Traceback" not in err
 
 
+def test_simulate_n_above_the_bound_rejected_at_parse_time(work, tmp_path, monkeypatch, capsys):
+    """Each patient costs the draw tens of bytes, so a huge --n ends at
+    parse time, not in numpy's failed allocation."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("patients were drawn")
+
+    monkeypatch.setattr(sm.cli, "sample_patients", forbidden)
+    root, model = work
+    out = tmp_path / "patients.csv"
+    assert run("simulate", model, model, "--n", 10**7 + 1, "-o", out) == 2
+    assert run("simulate", model, model, "--n", 10**13, "-o", out) == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.count("argument --n: must be at most 10000000") == 2 and "Traceback" not in err
+
+
 def _rounded_trace_digest(path):
     """SHA-256 of a monitor trace body with t2 to 10 significant digits."""
     lines = fio.payload_bytes(str(path)).decode().splitlines()
@@ -759,6 +775,21 @@ def test_oversized_c_grid_range_exits_2_at_once(work, tmp_path, capsys):
     assert time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert f"bad c grid '0:1e12:1': 1000000000001 points, more than {fio.MAX_C_GRID}" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_oversized_c_grid_list_exits_2(work, tmp_path, monkeypatch, capsys):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a simulation was started")
+
+    monkeypatch.setattr(sm.mc, "_CompiledSim", forbidden)
+    root, model = work
+    out = tmp_path / "s.csv"
+    grid = ",".join(["1.0"] * 20_001)
+    assert run("study", model, model, "--shift", "coefficient", "--targets", "beta24",
+               "--c-grid", grid, "--h", 30, "-o", out) == 2
+    err = capsys.readouterr().err
+    assert f"bad c grid: a list of 20001 points, more than {fio.MAX_C_GRID}" in err
     assert "Traceback" not in err and not out.exists()
 
 

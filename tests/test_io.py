@@ -33,6 +33,12 @@ def test_parse_c_grid_caps_the_range_size():
         fio.parse_c_grid(f"0:{fio.MAX_C_GRID}:1")
 
 
+def test_parse_c_grid_caps_the_list_size():
+    assert len(fio.parse_c_grid(",".join(["1.5"] * fio.MAX_C_GRID))) == fio.MAX_C_GRID
+    with pytest.raises(DataFormatError, match=f"a list of {fio.MAX_C_GRID + 1} points, more than {fio.MAX_C_GRID}"):
+        fio.parse_c_grid(",".join(["1.5"] * (fio.MAX_C_GRID + 1)))
+
+
 def test_patient_csv_roundtrip(tmp_path, delivery):
     gen = sm.in_control_generator(delivery)
     data = sm.sample_patients(gen, 40, 3)

@@ -371,3 +371,70 @@ def test_fit_mle_rejects_params_init_of_another_layout(delivery):
     data = sm.sample_patients(sm.in_control_generator(delivery), 50, 0)
     with pytest.raises(ModelConfigError, match="params_init does not match the model's coefficient layout"):
         sm.fit_mle(delivery.spec, data, params_init=two_node_model().params)
+
+
+def _in_control_sample(n):
+    model = sm.default_delivery_model()
+    return model.spec, sm.sample_patients(sm.in_control_generator(model), n, 60 + n), model.params
+
+
+def _two_node_sample(cells, seed):
+    return two_node_model().spec, _two_node_cells(cells, seed), None
+
+
+def _sparse_sample():
+    # 300 patients of a 16-bit model: at most 300 of its 65,536 types are seen,
+    # and its first node has 1,024 parent keys, more than the records
+    model = delivery_with_risk_factors(8)
+    return model.spec, sm.sample_patients(sm.in_control_generator(model), 300, 5), model.params
+
+
+_CELL_PATH_SAMPLES = {
+    **{f"in-control-{n}": (lambda n=n: _in_control_sample(n)) for n in (1, 5, 300, 2000)},
+    # the samples of test_fit_mle_quasi_separation_gives_firth and of
+    # test_fit_mle_unseparated_without_spanning_mixed_patterns
+    "firth": lambda: _two_node_sample(
+        [(0, 0, 0, 30), (0, 0, 1, 20), (0, 1, 0, 25), (0, 1, 1, 15), (1, 0, 0, 40), (1, 1, 0, 30)], 3
+    ),
+    "unseparated": lambda: _two_node_sample(
+        [(0, 0, 0, 30), (0, 0, 1, 20), (1, 1, 0, 25), (1, 1, 1, 25), (0, 1, 1, 30), (1, 0, 1, 30)], 4
+    ),
+    "most-types-empty": _sparse_sample,
+}
+
+
+def _fit_bytes(spec, data, params_init):
+    """Every output of fit_mle and log_likelihood as bytes, or the error's type and text."""
+    try:
+        fit = sm.fit_mle(spec, data, params_init=params_init)
+        fitted = (fit.params.values.tobytes(), fit.info.tobytes(), fit.std_errors.tobytes(),
+                  repr(fit.node_reports), repr(fit.log_likelihood))
+    except (FitError, SeparationError) as exc:
+        fitted = (type(exc).__name__, str(exc))
+    at = params_init if params_init is not None else two_node_model().params
+    return fitted, repr(sm.log_likelihood(spec, at, data))
+
+
+@pytest.mark.parametrize("case", list(_CELL_PATH_SAMPLES))
+def test_counted_and_sorted_cells_give_the_same_bytes(case, monkeypatch):
+    """A node's cells come from a bincount over its 2^q parent keys while
+    they are at most one a record, and from the records' sorted keys
+    otherwise. Sorting every node, counting every node, and the default
+    give the same bytes, or the same error."""
+    spec, data, params_init = _CELL_PATH_SAMPLES[case]()
+    default = _fit_bytes(spec, data, params_init)
+    for bins_per_record in (0, 1 << 20):
+        monkeypatch.setattr(sm.likelihood, "_DENSE_BINS_PER_RECORD", bins_per_record)
+        assert _fit_bytes(spec, data, params_init) == default
+
+
+def test_a_model_above_the_enumeration_limit_fits_on_both_cell_paths(monkeypatch):
+    monkeypatch.setattr(sm.likelihood, "_DENSE_BINS_PER_RECORD", 0)
+    big = delivery_with_risk_factors(9)  # 17 binary variables
+    data = sm.sample_patients(sm.in_control_generator(big), 2000, 9)
+    fit = sm.fit_mle(big.spec, data, params_init=big.params)
+    assert fit.converged
+    assert np.max(np.abs(sm.score(big.spec, fit.params, data))) < 1e-8
+    assert fit.log_likelihood == sm.log_likelihood(big.spec, fit.params, data)
+    monkeypatch.setattr(sm.likelihood, "_DENSE_BINS_PER_RECORD", 1)
+    assert sm.fit_mle(big.spec, data, params_init=big.params).params.values.tobytes() == fit.params.values.tobytes()

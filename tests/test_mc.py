@@ -700,6 +700,25 @@ def test_max_rl_beyond_the_bound_raises_before_any_work(delivery, chart, monkeyp
         sm.estimate_arl(gen, delivery.params, chart, reps=5, max_rl=mc.MAX_RL + 1, seed=0, phase1_size=phase1_size)
 
 
+def test_patient_count_beyond_the_bound_raises_before_any_work(delivery, chart, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("work started for an invalid patient count")
+
+    monkeypatch.setattr(np.random, "default_rng", forbidden)
+    monkeypatch.setattr(mc.ReplicationStream, "_next", forbidden)
+    monkeypatch.setattr(mc.ReplicationStream, "random", forbidden)
+    gen = sm.in_control_generator(delivery)
+    for rng in (0, sm.replication_rng(0, 0)):
+        with pytest.raises(sm.ModelConfigError, match="n must be at most 10000000, got 10000001"):
+            sm.sample_patients(gen, sm.likelihood.MAX_MC_SAMPLES + 1, rng)
+    for module in (mc, sm.calibrate):
+        for name in ("_CompiledSim", "sample_patients"):
+            monkeypatch.setattr(module, name, forbidden)
+    monkeypatch.setattr(mc, "worker_pool", forbidden)
+    with pytest.raises(sm.ModelConfigError, match="phase1_size must be at most 10000000, got 10000001"):
+        sm.estimate_arl(gen, delivery.params, chart, reps=5, max_rl=100, seed=0, phase1_size=10**7 + 1)
+
+
 def _acceptance_config(delivery, **kw):
     sigma = sm.expected_score_covariance(delivery.spec, delivery.params, delivery.covariates).values
     return sm.ChartConfig(sigma_s=sigma, covariance_mode="exact-recursive", **dict(_ACCEPTANCE_CHART, **kw))
