@@ -164,7 +164,7 @@ def _estimate_arl_phase1(generator, params0, config, reps, max_rl, seed, phase1_
         phase1 = sample_patients(in_control, phase1_size, stream)
         fit = fit_mle(spec, phase1, params_init=params0)
         sigma = expected_score_covariance(spec, fit.params, generator.covariates).values
-        sim = _CompiledSim(generator, fit.params, replace(config, sigma_s=sigma), max_rl)
+        sim = _CompiledSim(generator, fit.params, replace(config, sigma_s=sigma))
         key = np.array([stream.key], dtype=np.uint64)
         rl, res, _ = _simulate_chunk(sim, key, stream.position, config.h, max_rl, track_records=False)
         run_lengths[rep], resolved[rep] = rl[0], res[0]

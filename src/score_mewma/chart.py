@@ -31,8 +31,12 @@ class ChartConfig:
 
     ``r`` is the smoothing weight, a scalar broadcast to every score
     coordinate or one value per coordinate; ``sigma_s`` is the covariance of
-    the full score vector. ``coord_names`` label the coordinates in error
-    messages.
+    the full score vector. Two coordinates may have different r only where
+    their ``sigma_s`` entry is 0, so r is constant on every correlated
+    block: one r per node, since Sigma_S is block-diagonal by node, but not
+    per coordinate within a node; Sigma_W,t is then Sigma_S with each
+    block scaled by its own f_t. ``coord_names`` label the coordinates in
+    error messages.
     """
 
     sigma_s: np.ndarray
@@ -63,6 +67,15 @@ class ChartConfig:
             raise ModelConfigError("r must be a scalar or one value per monitored coordinate")
         if not ((r > 0.0) & (r <= 1.0)).all():
             raise ModelConfigError("smoothing values must lie in (0, 1]")
+        if self.coord_names is not None and len(self.coord_names) != sigma.shape[0]:
+            raise ModelConfigError("coord_names must name every monitored coordinate")
+        mixed = (r[:, None] != r[None, :]) & (sigma != 0.0)
+        if mixed.any():
+            i, j = (self.coord_names[k] if self.coord_names else str(k) for k in np.argwhere(mixed)[0])
+            raise ModelConfigError(
+                f"coordinates {i} and {j} are correlated under sigma_s but have different smoothing values; "
+                "r may differ only between uncorrelated blocks, such as nodes"
+            )
         r.flags.writeable = False
         object.__setattr__(self, "r_vec", r)
 
@@ -86,18 +99,13 @@ class ChartConfig:
 
     @cached_property
     def t2_evaluator(self) -> "T2Evaluator":
-        """The chart's T2 evaluator, built on first use; building it checks
-        and inverts every Sigma_W,t the chart can use."""
+        """The chart's T2 evaluator, built on first use; building it checks,
+        inverts and factors Sigma_S."""
         return T2Evaluator(self)
-
-    def sigma_w_asymptotic(self) -> np.ndarray:
-        r = self.r_vec
-        denom = r[:, None] + r[None, :] - r[:, None] * r[None, :]
-        return (r[:, None] * r[None, :] / denom) * self.sigma_s
 
 
 def _ewma_factor(r: float, t):
-    """f_t = r[1-(1-r)^{2t}]/(2-r), with Sigma_W,t = f_t Sigma_S for equal smoothing r."""
+    """f_t = r[1-(1-r)^{2t}]/(2-r), with Sigma_W,t = f_t Sigma_S on a block of smoothing r."""
     return r * (1.0 - (1.0 - r) ** (2 * t)) / (2.0 - r)
 
 
@@ -132,14 +140,11 @@ def init_state(config: ChartConfig) -> MewmaState:
     return MewmaState(config=config, w=np.zeros(config.p), t=0)
 
 
-def _check_conditioning(mats: np.ndarray, coord_names) -> None:
-    """Raise SingularMatrixError for the first numerically singular matrix
-    of a (n, p, p) stack."""
-    evals = np.linalg.eigvalsh(mats)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        bad = (evals[:, 0] <= 0.0) | (evals[:, -1] / evals[:, 0] > COND_LIMIT)
-    if bad.any():
-        _, evecs = np.linalg.eigh(mats[bad.argmax()])
+def _check_conditioning(sigma: np.ndarray, coord_names) -> None:
+    """Raise SingularMatrixError if Sigma_S is numerically singular, naming
+    the coordinates that load most on its smallest eigenvalue."""
+    evals, evecs = np.linalg.eigh(sigma)
+    if evals[0] <= 0.0 or evals[-1] / evals[0] > COND_LIMIT:
         worst = np.argsort(np.abs(evecs[:, 0]))[::-1][:3]
         labels = [coord_names[i] if coord_names else str(i) for i in worst]
         raise SingularMatrixError(
@@ -149,89 +154,64 @@ def _check_conditioning(mats: np.ndarray, coord_names) -> None:
 
 
 class T2Evaluator:
-    """Owner of Sigma_W,t = f_t M_t for one chart configuration, and of T2_t =
-    W_t' Sigma_W,t^{-1} W_t.
+    """Owner of Sigma_W,t and of T2_t = W_t' Sigma_W,t^{-1} W_t for one chart
+    configuration.
 
-    Every M_t the chart can use is built, checked and inverted here, once,
-    and never changes after. With equal smoothing M_t = Sigma_S, one matrix
-    for every t, since cond(f_t Sigma_S) = cond(Sigma_S); the asymptotic
-    mode has only its limit. With unequal smoothing f_t = 1 and M_t = R
-    Sigma_S R + (I - R) M_{t-1} (I - R) from M_0 = 0, up to the cap beyond
-    which it is stationary. SingularMatrixError names the coordinates that
-    load most on the smallest eigenvalue of the first failing matrix.
+    r is constant on each run of consecutive coordinates, ``runs``, and
+    Sigma_S is 0 between coordinates of different r, so Sigma_W,t is
+    Sigma_S with the rows of each run scaled by that run's f_t, and T2_t =
+    sum over runs of (w A w')_run / f_t(r_run) with A = Sigma_S^{-1}.
+    Sigma_S is checked, inverted and factored here, once, and never changes
+    after; cond(Sigma_S) is what the inverse needs, as the f_t scale the
+    result exactly. SingularMatrixError names the coordinates that load
+    most on the smallest eigenvalue of Sigma_S.
 
-    ``t2`` evaluates ``((w @ inverse(t)) * w).sum(-1) / factor(t)`` for a
-    state w, a matrix of them or a block of them over consecutive steps.
-    With equal smoothing ``whitener`` gives the factor W with W W' =
-    Sigma_S^{-1}, so T2_t = ||w W||^2 / f_t in whitened coordinates z = w W;
-    the Monte Carlo kernel runs the EWMA there, and takes ``t2`` only with
-    unequal smoothing.
+    ``whitener`` gives the factor W with W W' = A, which mixes only
+    coordinates of one r, so T2_t = sum over runs of ||z_run||^2 / f_t(r_run)
+    in whitened coordinates z = w W; the Monte Carlo kernel runs the EWMA
+    there.
     """
 
     def __init__(self, config: ChartConfig):
         self._mode = config.covariance_mode
-        self._r0 = float(config.r_vec[0]) if config.equal_r else None
-        if config.equal_r or config.covariance_mode == ASYMPTOTIC:
-            mats = (config.sigma_s if config.equal_r else config.sigma_w_asymptotic())[None]
-        else:
-            r = config.r_vec
-            rr, qq = np.outer(r, r), np.outer(1.0 - r, 1.0 - r)
-            # (1 - r_min)^(2t) < e^-41.5 beyond the cap
-            cap = int(np.ceil(-41.5 / (2.0 * np.log1p(-float(r.min())))) + 1)
-            mats = np.zeros((cap + 1, config.p, config.p))  # M_0, M_1, ..., M_cap
-            for t in range(1, cap + 1):
-                mats[t] = rr * config.sigma_s + qq * mats[t - 1]
-            mats = mats[1:]
-        _check_conditioning(mats, config.coord_names)
-        self._matrices = mats  # M_1, ..., M_cap
-        self._inverses = np.linalg.inv(mats)
-        self._matrices.flags.writeable = self._inverses.flags.writeable = False
-        self._whitener = None
-        if self._r0 is not None:
-            self._whitener = np.linalg.cholesky(self._inverses[0])
-            self._whitener.flags.writeable = False
+        _check_conditioning(config.sigma_s, config.coord_names)
+        self._sigma = config.sigma_s
+        self._inverse = np.linalg.inv(config.sigma_s)
+        self._whitener = np.linalg.cholesky(self._inverse)
+        self._inverse.flags.writeable = self._whitener.flags.writeable = False
+        r = config.r_vec
+        bounds = [0, *(np.flatnonzero(np.diff(r)) + 1).tolist(), len(r)]
+        self.runs = tuple((slice(lo, hi), float(r[lo])) for lo, hi in zip(bounds[:-1], bounds[1:]))
 
-    def _index(self, t: int) -> int:
-        """Position of M_t; M_t = M_cap beyond the cap."""
-        return min(t, len(self._inverses)) - 1
-
-    def factor(self, t):
-        """f_t at t = 1, 2, ... (an int or a float array); 1 with unequal smoothing."""
-        r = self._r0
-        if r is None:
-            return np.ones_like(t, dtype=float)
+    def factor(self, r: float, t):
+        """f_t of smoothing weight r at t = 1, 2, ... (an int or a float array)."""
         if self._mode == ASYMPTOTIC:
             return np.full_like(t, r / (2.0 - r), dtype=float)
         return _ewma_factor(r, t)
 
-    def inverse(self, t: int) -> np.ndarray:
-        """The matrix A_t = M_t^{-1}, with T2_t = w' A_t w / f_t."""
-        return self._inverses[self._index(t)]
-
-    def whitener(self) -> np.ndarray | None:
-        """With equal smoothing, the lower Cholesky factor W of Sigma_S^{-1},
-        taken once after the conditioning check and read-only; None with
-        unequal smoothing. Sigma_S is block-diagonal by node, so W is too,
-        and the columns of z = w W of one node carry that node's share of T2."""
+    def whitener(self) -> np.ndarray:
+        """The lower Cholesky factor W of Sigma_S^{-1}, taken once after the
+        conditioning check and read-only. Sigma_S is block-diagonal by node,
+        so W is too, and the columns of z = w W of one node carry that
+        node's share of T2."""
         return self._whitener
 
     def sigma_w(self, t: int) -> np.ndarray:
-        """Sigma_W,t = f_t M_t; zero at t = 0."""
-        if t == 0:
-            return np.zeros_like(self._matrices[0])
-        return self.factor(t) * self._matrices[self._index(t)]
+        """Sigma_W,t, the rows of each run of Sigma_S times its f_t; zero at t = 0."""
+        out = np.zeros_like(self._sigma)
+        if t > 0:
+            for cols, r in self.runs:
+                out[cols] = self.factor(r, t) * self._sigma[cols]
+        return out
 
     def t2(self, w: np.ndarray, t: int) -> np.ndarray:
-        """T2 of a state or a (lanes, p) matrix of states at step t, or of a
-        (steps, lanes, p) block of them at steps t, t + 1, ...; each step's
-        product is one (lanes, p) @ (p, p). The kernel's block path serves
-        unequal smoothing only."""
-        if w.ndim < 3:
-            return ((w @ self.inverse(t)) * w).sum(axis=-1) / self.factor(t)
-        cap = len(self._inverses)
-        steps = np.arange(t, t + w.shape[0])
-        a = self.inverse(t) if t >= cap else self._inverses[np.minimum(steps, cap) - 1]
-        return ((w @ a) * w).sum(axis=-1) / self.factor(steps)[:, None]
+        """T2 of a state or a (lanes, p) matrix of states at step t."""
+        wa = (w @ self._inverse) * w
+        t2 = None
+        for cols, r in self.runs:
+            term = wa[..., cols].sum(axis=-1) / self.factor(r, t)
+            t2 = term if t2 is None else t2 + term
+        return t2
 
 
 def update(state: MewmaState, s_t: np.ndarray) -> tuple[MewmaState, float, bool]:

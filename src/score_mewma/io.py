@@ -270,15 +270,15 @@ def load_params_file(path: str, spec: DagModelSpec) -> ParamVector:
             raise DataFormatError(f"{path}: not valid JSON ({exc.msg} at line {exc.lineno})") from None
     if isinstance(doc, dict) and "payload" in doc and isinstance(doc["payload"], dict):
         doc = doc["payload"]
-    if isinstance(doc, dict) and "params" in doc and isinstance(doc["params"], dict):
-        values = doc["params"]
-    elif isinstance(doc, dict) and "nodes" in doc:
-        values = model_from_dict(doc).params.as_dict()
-    elif isinstance(doc, dict) and all(isinstance(v, (int, float)) for v in doc.values()):
-        values = doc
-    else:
-        raise DataFormatError(f"{path}: cannot find coefficient values in this file")
     try:
+        if isinstance(doc, dict) and "params" in doc and isinstance(doc["params"], dict):
+            values = doc["params"]
+        elif isinstance(doc, dict) and "nodes" in doc:
+            values = model_from_dict(doc).params.as_dict()
+        elif isinstance(doc, dict) and all(isinstance(v, (int, float)) for v in doc.values()):
+            values = doc
+        else:
+            raise DataFormatError(f"{path}: cannot find coefficient values in this file")
         numbers = {str(name): _number(value, f"coefficient {name!r}") for name, value in values.items()}
         return ParamVector.for_spec(spec, numbers)
     except ModelConfigError as exc:

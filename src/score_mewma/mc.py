@@ -11,9 +11,8 @@ Inside a chunk every active replication is one lane, and each loop
 iteration advances every lane a block of patients (``_simulate_chunk``):
 the block's uniforms come from one vectorized call, and scoring, the EWMA
 and T2 each take the whole block. Block length changes no lane's
-arithmetic, so results at equal smoothing do not depend on it; at unequal
-smoothing the BLAS product can move the last bits of a T2 value. With at
-most ``model.ENUM_LIMIT`` bits a patient reads one output, whose uniform picks
+arithmetic, so results do not depend on it. With at most
+``model.ENUM_LIMIT`` bits a patient reads one output, whose uniform picks
 its type from the cumulative type probabilities, and its row from a table
 over the 2^k types; above it a patient reads k uniforms, from which
 ``_generate``, the one ancestral sampler, draws it, and it is scored on its
@@ -24,14 +23,14 @@ binary search over the cumulative probabilities gives for every output;
 only an output whose bucket holds a cumulative probability goes on to that
 search.
 
-With equal smoothing r the EWMA runs in whitened coordinates. Sigma_W,t =
-f_t Sigma_S, so with the evaluator's factor W (W W' = Sigma_S^{-1}) the
-state z_t = w_t W has T2_t = ||z_t||^2 / f_t. A type's row is then r s W,
-summed over the columns of s in a fixed order, z_t = row_t + (1 - r)
-z_{t-1}, and T2 is a sum of squares with no matrix product per step.
-Sigma_S is block-diagonal by node, so each node's columns of z hold its
-share of T2. With unequal smoothing a row is r * s and the EWMA takes
-1 - r per coordinate, both as vectors, and the evaluator's ``t2`` gives T2.
+The EWMA runs in whitened coordinates. The evaluator's factor W (W W' =
+Sigma_S^{-1}) mixes only coordinates of one smoothing weight, and on each
+run of coordinates of weight r Sigma_W,t = f_t(r) Sigma_S, so the state
+z_t = w_t W has T2_t = sum over runs of ||z_t,run||^2 / f_t(r). A type's
+row is then s (W R), summed over the columns of s in a fixed order, z_t =
+row_t + (I - R) z_{t-1}, and T2 is a sum of squares with no matrix product
+per step. Sigma_S is block-diagonal by node, so each node's columns of z
+hold its share of T2.
 """
 
 from __future__ import annotations
@@ -68,8 +67,7 @@ STEP = 16  # fewest patients a lane advances per kernel iteration
 LANE_STEPS = 8192  # a block of more than STEP steps stays within this many lane-steps
 _GUIDE_BITS = 12  # a type guide table has 2^12 buckets, read at an output's top 12 bits
 MAX_THREADS = 64  # most worker processes; not the machine's count, so a manifest replays anywhere
-# the longest run a simulation follows: its f_t table holds max_rl floats, 80 MB at 10^7
-MAX_RL = 10**7
+MAX_RL = 10**7  # the longest run a simulation follows
 
 ENV_THREADS = "SCORE_MEWMA_THREADS"
 
@@ -412,12 +410,12 @@ class _CompiledSim:
     """Arrays and index plans shared by every chunk of one simulation.
 
     Patients are scored as in ``per_record_scores``, at the coefficients
-    ``values0`` of params0, which must have the model's layout. With equal
-    smoothing r, ``whiten`` is r W for the evaluator's factor W, the
-    kernel's input rows are the whitened r s W and ``q`` is the scalar 1 -
-    r; otherwise ``whiten`` is None, the rows are r * s and ``q`` is the
-    vector 1 - r. With k <= model.ENUM_LIMIT bits per patient ``cdf`` and
-    ``guide`` are the generator's ``_type_law``: the cumulative
+    ``values0`` of params0, which must have the model's layout. ``whiten``
+    is W R for the evaluator's factor W and the smoothing weights R on its
+    columns, which equals R W as W mixes only coordinates of one weight;
+    the kernel's input rows are the whitened s W R, and ``q`` is 1 - r, a
+    scalar when r is equal. With k <= model.ENUM_LIMIT bits per patient
+    ``cdf`` and ``guide`` are the generator's ``_type_law``: the cumulative
     probabilities of the 2^k patient types under the generator and their
     guide table (``_type_guide``), through which a patient's output finds
     the type the binary search over ``cdf`` would pick. ``table`` then
@@ -427,29 +425,24 @@ class _CompiledSim:
     ``_generate`` turns into the patient's bits. The table depends on the
     generator and params0 alone, so it is built once per simulation, not
     per chunk. Taking the config's evaluator builds it, which checks and
-    inverts every Sigma_W,t in the calling process; workers get the whole
-    object pickled with each chunk, the generator's law once, and only
-    read it.
+    factors Sigma_S in the calling process; workers get the whole object
+    pickled with each chunk, the generator's law once, and only read it.
     """
 
-    def __init__(self, generator: PatientGenerator, params0: ParamVector, config: ChartConfig, max_rl: int):
+    def __init__(self, generator: PatientGenerator, params0: ParamVector, config: ChartConfig):
         if len(params0) != generator.spec.n_params:
             raise ModelConfigError("params0 does not match the model's coefficient layout")
         self.generator = generator
         self.designs = node_designs(generator.spec)
         self.values0 = params0.values
         self.k = sum(generator.spec.widths)
-        self.r_vec = config.r_vec
         self.q = float(1.0 - config.r_vec[0]) if config.equal_r else 1.0 - config.r_vec
         self.warmup = config.warmup
         self.evaluator = config.t2_evaluator
-        self.factors = self.evaluator.factor(np.arange(1, max_rl + 1, dtype=float))
         whitener = self.evaluator.whitener()
-        self.whiten = self.starts = None
-        if whitener is not None:
-            self.whiten = self.r_vec[0] * whitener
-            # each row's first nonzero column; W is lower triangular, so row j ends at column j
-            self.starts = (whitener != 0).argmax(axis=1).tolist()
+        self.whiten = whitener * config.r_vec
+        # each row's first nonzero column; W is lower triangular, so row j ends at column j
+        self.starts = (whitener != 0).argmax(axis=1).tolist()
         self.table = self.cdf = self.guide = None
         self.draws = self.k  # stream outputs each patient reads
         if generator._type_law is not None:
@@ -462,12 +455,10 @@ class _CompiledSim:
         return self._from_scores(score_rows(self.designs, bits, node_means(self.designs, self.values0, bits)))
 
     def _from_scores(self, s: np.ndarray) -> np.ndarray:
-        """Input rows of an (n, p) score matrix: r * s, or s @ whiten summed
-        over the columns of s in a fixed order, not by BLAS, so a row's
-        floats do not depend on the rows beside it. A term of an exact zero
-        of whiten is skipped, as it adds nothing."""
-        if self.whiten is None:
-            return self.r_vec * s
+        """Input rows of an (n, p) score matrix: s @ whiten summed over the
+        columns of s in a fixed order, not by BLAS, so a row's floats do not
+        depend on the rows beside it. A term of an exact zero of whiten is
+        skipped, as it adds nothing."""
         out = np.zeros(s.shape[::-1])  # transposed, so each step runs along n
         for j, lo in enumerate(self.starts):
             out[lo : j + 1] += self.whiten[j, lo : j + 1, None] * s[:, j]
@@ -482,10 +473,18 @@ class _CompiledSim:
         return self._scores(_generate(self.generator, u.reshape(-1, self.k))).reshape(n, keys.size, -1)
 
     def t2(self, z: np.ndarray, t0: int) -> np.ndarray:
-        """T2 of a (steps, lanes, p) block of EWMA states at steps t0 + 1, t0 + 2, ..."""
-        if self.whiten is None:
-            return self.evaluator.t2(z, t0 + 1)
-        return np.einsum("ijk,ijk->ij", z, z) / self.factors[t0 : t0 + z.shape[0], None]
+        """T2 of a (steps, lanes, p) block of whitened states at steps t0 + 1,
+        t0 + 2, ...: per run of equal r, the sum of squares of its columns
+        over that run's f_t of those steps. The columns are copied into one
+        contiguous array first, so the order of the sum does not follow the
+        block's shape."""
+        steps = np.arange(t0 + 1, t0 + z.shape[0] + 1, dtype=float)
+        t2 = None
+        for cols, r in self.evaluator.runs:
+            zr = np.ascontiguousarray(z[..., cols])
+            term = np.einsum("ijk,ijk->ij", zr, zr) / self.evaluator.factor(r, steps)[:, None]
+            t2 = term if t2 is None else t2 + term
+        return t2
 
 
 @dataclass
@@ -552,12 +551,11 @@ def _simulate_chunk(
     their input rows in one call, the EWMA z_t = row_t + q z_{t-1} runs
     through the block one step at a time into that (n, lanes, p) block with
     one preallocated temporary, and ``sim.t2`` takes the block's T2 in one
-    call: a sum of squares of the whitened states with equal smoothing,
-    else the evaluator's ``t2``. A lane ends at its first T2 above cap in
-    the block, and the steps computed past it are discarded; under
-    ``track_records`` its record highs in the block come from a running
-    maximum cut off there, and a stable sort by replication keeps each
-    replication's in time order.
+    call, as sums of squares of the whitened states. A lane ends at its
+    first T2 above cap in the block, and the steps computed past it are
+    discarded; under ``track_records`` its record highs in the block come
+    from a running maximum cut off there, and a stable sort by replication
+    keeps each replication's in time order.
 
     n starts at STEP and doubles while the doubled block holds at most
     LANE_STEPS lane-steps, up to BUF: 16 steps above 256 lanes, 256 at 32
@@ -568,7 +566,7 @@ def _simulate_chunk(
     """
     n_reps = keys.size
     active = np.arange(n_reps)
-    z = np.zeros((n_reps, sim.r_vec.shape[0]))
+    z = np.zeros((n_reps, sim.whiten.shape[0]))
     qz = np.empty_like(z)  # q * z of one step, in its first len(active) rows
     rec = np.full(n_reps, -np.inf)
     resolved_t = np.zeros(n_reps, dtype=np.int64)
@@ -659,7 +657,7 @@ def _simulate_passes(passes, threads: int | None) -> list[RunLengthSample]:
     queued = deque()  # (pass index, future) of the chunks on the pool, oldest first
     try:
         for i, (generator, params0, config, max_rl, seed_key, cap, track_records, chunks) in enumerate(checked):
-            sim = _CompiledSim(generator, params0, config, max_rl)
+            sim = _CompiledSim(generator, params0, config)
             if pool is None:
                 results[i] = [_run_chunk(sim, seed_key, chunk, cap, max_rl, track_records) for chunk in chunks]
                 continue

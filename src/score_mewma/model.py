@@ -482,6 +482,9 @@ class Model:
 
 
 def _number(value: Any, what: str) -> float:
+    """``value`` as a finite float; a JSON true or false is not a number here."""
+    if isinstance(value, bool):
+        raise ModelConfigError(f"{what} must be a number, got {value!r}")
     try:
         number = float(value)
     except (TypeError, ValueError):

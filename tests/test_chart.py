@@ -135,32 +135,59 @@ def test_asymptotic_mode_constant_covariance():
         np.testing.assert_allclose(state.sigma_w, expected, rtol=1e-12)
 
 
-@pytest.mark.parametrize("r", [0.1, (0.1, 0.4)])
+# two uncorrelated blocks of two coordinates, as Sigma_S is block-diagonal by node
+_BLOCK_SIGMA = np.array([[1.0, 0.5, 0.0, 0.0], [0.5, 2.0, 0.0, 0.0], [0.0, 0.0, 1.5, -0.3], [0.0, 0.0, -0.3, 1.0]])
+
+
+def _asymptotic_oracle(r, sigma):
+    """The stationary covariance of the recursion: r_i r_j / (r_i + r_j - r_i r_j) Sigma_ij."""
+    rr = np.outer(r, r)
+    return rr / (r[:, None] + r[None, :] - rr) * sigma
+
+
+@pytest.mark.parametrize("r", [0.1, (0.1, 0.1, 0.4, 0.4)])
 @pytest.mark.parametrize("mode", [EXACT_RECURSIVE, ASYMPTOTIC])
 def test_state_sigma_w_matches_covariance_recursion(r, mode):
-    sigma = np.array([[1.0, 0.5], [0.5, 2.0]])
+    """Sigma_W,t = R Sigma_S R + (I - R) Sigma_W,t-1 (I - R), at one r and at
+    one r per block, and T2 is w' Sigma_W,t^{-1} w under that covariance."""
+    sigma = _BLOCK_SIGMA
     config = sm.ChartConfig(sigma_s=sigma, r=r, h=1e9, covariance_mode=mode)
     rv = config.r_vec
     rr, qq = np.outer(rv, rv), np.outer(1.0 - rv, 1.0 - rv)
     state = sm.init_state(config)
     assert np.all(state.sigma_w == 0.0)
-    expected = np.zeros((2, 2))
-    for _ in range(10_000):
-        state, _, _ = sm.update(state, np.array([0.3, -0.2]))
-        expected = rr * sigma + qq * expected if mode == EXACT_RECURSIVE else config.sigma_w_asymptotic()
+    expected = np.zeros((4, 4))
+    scores = np.random.default_rng(2).standard_normal((10_000, 4))
+    for s in scores:
+        state, t2, _ = sm.update(state, s)
+        expected = rr * sigma + qq * expected if mode == EXACT_RECURSIVE else _asymptotic_oracle(rv, sigma)
         err = np.max(np.abs(state.sigma_w - expected)) / np.max(np.abs(expected))
         assert err < 1e-12, (state.t, err)
+        assert abs(t2 - state.w @ np.linalg.solve(expected, state.w)) <= 1e-9 * t2, state.t
 
 
 def test_unequal_r_asymptotic_matrix():
-    sigma = np.array([[1.0, 0.5], [0.5, 2.0]])
-    config = sm.ChartConfig(sigma_s=sigma, r=(0.1, 0.4), h=1.0)
-    inf = config.sigma_w_asymptotic()
-    r = np.array([0.1, 0.4])
-    for i in range(2):
-        for j in range(2):
-            expect = r[i] * r[j] / (r[i] + r[j] - r[i] * r[j]) * sigma[i, j]
-            assert abs(inf[i, j] - expect) < 1e-12
+    r = np.array([0.1, 0.1, 0.4, 0.4])
+    config = sm.ChartConfig(sigma_s=_BLOCK_SIGMA, r=tuple(r), h=1.0, covariance_mode=ASYMPTOTIC)
+    for t in (1, 50):
+        inf = config.t2_evaluator.sigma_w(t)
+        for i in range(4):
+            for j in range(4):
+                expect = r[i] * r[j] / (r[i] + r[j] - r[i] * r[j]) * _BLOCK_SIGMA[i, j]
+                assert abs(inf[i, j] - expect) < 1e-12
+
+
+def test_different_r_on_correlated_coordinates_is_rejected():
+    """r may differ between uncorrelated blocks only; the error names the first such pair."""
+    sigma = _BLOCK_SIGMA
+    names = ("a1", "a2", "b1", "b2")
+    for r, pair in (((0.1, 0.2, 0.2, 0.2), "a1 and a2"), ((0.1, 0.1, 0.1, 0.4), "b1 and b2")):
+        with pytest.raises(ModelConfigError, match=f"coordinates {pair} are correlated"):
+            sm.ChartConfig(sigma_s=sigma, r=r, coord_names=names)
+    with pytest.raises(ModelConfigError, match="coordinates 2 and 3 are correlated"):
+        sm.ChartConfig(sigma_s=sigma, r=(0.1, 0.1, 0.2, 0.3))
+    sm.ChartConfig(sigma_s=sigma, r=(0.1, 0.1, 0.4, 0.4))
+    sm.ChartConfig(sigma_s=np.eye(4), r=(0.1, 0.2, 0.3, 0.4))
 
 
 def test_warmup_suppresses_signal():
@@ -225,6 +252,8 @@ def test_config_validation():
         sm.ChartConfig(sigma_s=np.array([[1.0, 2.0], [2.0, 1.0]]), r=0.1)
     with pytest.raises(ModelConfigError):
         sm.ChartConfig(sigma_s=np.eye(2), r=0.1, covariance_mode="other")
+    with pytest.raises(ModelConfigError, match="coord_names"):
+        sm.ChartConfig(sigma_s=np.eye(2), r=0.1, coord_names=("a",))
 
 
 def test_run_stream_empty_and_stop(delivery):

@@ -755,6 +755,60 @@ def test_non_numeric_params_value_exits_2(work, tmp_path, value, capsys):
     assert f"{params}: coefficient 'alpha1' must be a number" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "edit, named",
+    [
+        (lambda doc: doc["nodes"][0]["intercept"].update(value=True), "node Y1: intercept value must be a number"),
+        (lambda doc: doc["covariates"][0].update(prevalence=False), "covariate 'X1': prevalence must be a number"),
+    ],
+    ids=["intercept-true", "prevalence-false"],
+)
+def test_boolean_model_value_exits_2(work, tmp_path, edit, named, capsys):
+    """JSON true and false are not read as 1 and 0."""
+    root, model = work
+    doc = json.loads(Path(model).read_text())
+    edit(doc)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(sm.ModelConfigError, match=named):
+        sm.model_from_dict(doc)
+    assert run("simulate", bad, model, "--n", 5, "-o", tmp_path / "out.csv") == 2
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err and not (tmp_path / "out.csv").exists()
+
+
+def _params_with_true_alpha1():
+    values = sm.default_delivery_model().params.as_dict()
+    values["alpha1"] = True
+    return values
+
+
+def _model_with_true_intercept():
+    doc = json.loads(sm.serialize_model_spec(sm.default_delivery_model()))
+    doc["nodes"][0]["intercept"]["value"] = True
+    return doc
+
+
+@pytest.mark.parametrize(
+    "make_doc, named",
+    [
+        (lambda: {"params": _params_with_true_alpha1()}, "coefficient 'alpha1' must be a number, got True"),
+        (_params_with_true_alpha1, "coefficient 'alpha1' must be a number, got True"),
+        (_model_with_true_intercept, "node Y1: intercept value must be a number, got True"),
+    ],
+    ids=["params-map", "flat-map", "model-config"],
+)
+def test_boolean_params_value_exits_2(work, tmp_path, make_doc, named, capsys):
+    root, model = work
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps(make_doc()))
+    with pytest.raises(sm.DataFormatError, match=f"{params}: {named}"):
+        fio.load_params_file(str(params), sm.default_delivery_model().spec)
+    assert run("simulate", model, params, "--n", 5, "-o", tmp_path / "out.csv") == 2
+    err = capsys.readouterr().err
+    assert f"{params}: {named}" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("grid", ["0:inf:1", "nan:1:1", "inf:inf:1", "0:1:nan", "0:1e300:1e-300"])
 def test_non_finite_c_grid_range_exits_2(work, tmp_path, grid, capsys):
     root, model = work

@@ -141,7 +141,7 @@ def test_a_type_of_probability_zero_is_never_drawn(delivery, chart):
     same patients."""
     ones = sm.CovariateModel({k: 1.0 for k in delivery.covariates.prevalence})
     gen = sm.PatientGenerator(delivery.spec, delivery.params, ones)
-    sim = mc._CompiledSim(gen, delivery.params, chart, max_rl=200)
+    sim = mc._CompiledSim(gen, delivery.params, chart)
     n_cov = ones.prevalences(delivery.spec).size
     picked = mc._pick_types(sim.cdf, np.array([0.0, np.nextafter(1.0, 0.0)]))
     assert np.all(picked & (2**n_cov - 1) == 2**n_cov - 1)
@@ -255,7 +255,7 @@ def test_guided_types_equal_the_binary_search(delivery, case):
 def test_kernel_picks_equal_the_binary_search(delivery, chart, lanes):
     """The kernel's input rows are the table rows of the types the binary
     search picks from the same streams' uniforms."""
-    sim = mc._CompiledSim(sm.in_control_generator(delivery), delivery.params, chart, max_rl=200)
+    sim = mc._CompiledSim(sm.in_control_generator(delivery), delivery.params, chart)
     keys = mc._replication_keys(mc._seed_key(6), 0, lanes)
     for after, n in ((0, 16), (37, 256)):
         expected = sim.table.take(mc._pick_types(sim.cdf, mc._uniforms(keys, after, n)), axis=0)
@@ -270,7 +270,7 @@ def test_a_replication_depends_on_neither_its_chunk_nor_its_lane_mates_nor_max_r
     np.testing.assert_array_equal(many.run_lengths[:100], few.run_lengths)
     np.testing.assert_array_equal(many.resolved[:100], few.resolved)
     # the third chunk's last replications, run as a chunk of their own
-    sim = mc._CompiledSim(gen, delivery.params, chart, m)
+    sim = mc._CompiledSim(gen, delivery.params, chart)
     keys = mc._replication_keys(mc._seed_key(9), 2 * mc.CHUNK, 5)
     rl, resolved, _ = mc._simulate_chunk(sim, keys, 0, chart.h, m, track_records=False)
     np.testing.assert_array_equal(rl, many.run_lengths[-5:])
@@ -347,7 +347,7 @@ def test_kernel_matches_reference_stream(delivery, chart):
 
 def test_kernel_unequal_r_matches_reference(delivery):
     sigma = sm.expected_score_covariance(delivery.spec, delivery.params, delivery.covariates).values
-    r = tuple(np.linspace(0.05, 0.6, 17))
+    r = (0.05,) * 3 + (0.2,) * 3 + (0.4,) * 5 + (0.6,) * 6  # one r per node
     config = sm.ChartConfig(sigma_s=sigma, r=r, h=60.0)
     gen = sm.in_control_generator(delivery)
     max_rl = 200
@@ -502,7 +502,8 @@ def test_at_limit_reads_empty_staircases_as_censored(delivery):
 
 
 _ACCEPTANCE_CHART = dict(r=0.02, h=35.7)
-_UNEQUAL_R_CHART = dict(r=tuple(np.linspace(0.01, 0.05, 17)), h=40.0)
+# one r per node of the delivery model, whose blocks hold 3, 3, 5 and 6 coefficients
+_UNEQUAL_R_CHART = dict(r=(0.01,) * 3 + (0.02,) * 3 + (0.03,) * 5 + (0.05,) * 6, h=40.0)
 
 
 @pytest.mark.parametrize(
@@ -530,7 +531,7 @@ def test_type_tables_equal_per_patient_path(delivery, monkeypatch, shift, chart_
     if shift is not None:
         gen = sm.apply_shift(gen, shift)
     max_rl = 600
-    sim = mc._CompiledSim(gen, delivery.params, config, max_rl)
+    sim = mc._CompiledSim(gen, delivery.params, config)
     types = type_bits(sim.k)
     # a uniform of 0 sets a bit on the ancestral path, the largest below 1 clears it
     u = np.where(types == 1.0, 0.0, np.nextafter(1.0, 0.0))
@@ -567,8 +568,7 @@ def test_type_tables_equal_per_patient_path(delivery, monkeypatch, shift, chart_
 
 
 def test_multi_chunk_run_is_thread_independent(delivery, chart):
-    """Also with unequal smoothing, whose threads read one T2Evaluator's
-    per-step inverses."""
+    """Also with one smoothing weight per node."""
     unequal = sm.ChartConfig(sigma_s=chart.sigma_s, **_UNEQUAL_R_CHART)
     gen = sm.in_control_generator(delivery)
     kw = dict(reps=2 * mc.CHUNK + 3, max_rl=40, seed=31, track_records=True)
@@ -832,9 +832,9 @@ def test_tracked_records_are_pinned(delivery, threads):
         (dict(r=0.02, h=38.0), True, 53),
         (dict(r=0.02, h=38.0, warmup=21), False, 57),
         (dict(r=0.02, h=38.0, warmup=21), True, 57),
-        (dict(_UNEQUAL_R_CHART, h=44.0), True, 40),
+        (dict(_UNEQUAL_R_CHART, h=44.0), True, 62),
         (dict(r=0.02, h=34.0, covariance_mode="asymptotic"), True, 53),
-        (dict(_UNEQUAL_R_CHART, h=40.0, covariance_mode="asymptotic"), True, 33),
+        (dict(_UNEQUAL_R_CHART, h=40.0, covariance_mode="asymptotic"), True, 55),
     ],
     ids=["tracked", "warmup-21", "warmup-21-tracked", "unequal-r", "asymptotic", "asymptotic-unequal-r"],
 )
@@ -877,26 +877,31 @@ def test_kernel_matches_reference_across_uniform_blocks(delivery, chart_kw, trac
 
 @pytest.mark.parametrize("mode", ["exact-recursive", "asymptotic"])
 def test_whitened_t2_equals_the_evaluator(delivery, mode):
-    """With equal smoothing the kernel's T2 of whitened states z = w W is the
-    evaluator's T2 of w; W is block-diagonal by node, so each node's columns
-    of z hold its share of T2. Unequal smoothing gets no whitener."""
+    """The kernel's T2 of whitened states z = w W is, step by step, the
+    evaluator's T2 of w, at one r and at one r per node: both charts are
+    whitened, and a type's row takes each node's r on that node's columns.
+    W is block-diagonal by node, so each node's columns of z hold its share
+    of T2."""
     sigma = sm.expected_score_covariance(delivery.spec, delivery.params, delivery.covariates).values
-    config = sm.ChartConfig(sigma_s=sigma, r=0.02, covariance_mode=mode)
-    sim = mc._CompiledSim(sm.in_control_generator(delivery), delivery.params, config, max_rl=100)
-    whitener = config.t2_evaluator.whitener()
-    np.testing.assert_array_equal(sim.whiten, 0.02 * whitener)
-    w = 0.02 * np.random.default_rng(4).standard_normal((mc.STEP, 50, config.p))
-    for t0 in (0, 40):
-        expected = config.t2_evaluator.t2(w, t0 + 1)
-        np.testing.assert_allclose(sim.t2(w @ whitener, t0), expected, rtol=1e-12)
-    for design in node_designs(delivery.spec):
-        rows = np.zeros(config.p, dtype=bool)
-        rows[design.param_indices] = True
-        assert not whitener[np.ix_(rows, ~rows)].any() and not whitener[np.ix_(~rows, rows)].any()
-
-    unequal = sm.ChartConfig(sigma_s=sigma, r=_UNEQUAL_R_CHART["r"], covariance_mode=mode)
-    assert unequal.t2_evaluator.whitener() is None
-    assert mc._CompiledSim(sm.in_control_generator(delivery), delivery.params, unequal, max_rl=100).whiten is None
+    rng = np.random.default_rng(4)
+    for r, runs in ((0.02, 1), (_UNEQUAL_R_CHART["r"], 4)):
+        config = sm.ChartConfig(sigma_s=sigma, r=r, covariance_mode=mode)
+        sim = mc._CompiledSim(sm.in_control_generator(delivery), delivery.params, config)
+        evaluator = config.t2_evaluator
+        whitener = evaluator.whitener()
+        assert len(evaluator.runs) == runs
+        np.testing.assert_array_equal(sim.whiten, config.r_vec[:, None] * whitener)
+        if runs == 1:
+            np.testing.assert_array_equal(sim.whiten, 0.02 * whitener)
+        w = 0.02 * rng.standard_normal((mc.STEP, 50, config.p))
+        for t0 in (0, 40):
+            kernel = sim.t2(w @ whitener, t0)
+            for j in range(mc.STEP):
+                np.testing.assert_allclose(kernel[j], evaluator.t2(w[j], t0 + 1 + j), rtol=1e-12)
+        for design in node_designs(delivery.spec):
+            rows = np.zeros(config.p, dtype=bool)
+            rows[design.param_indices] = True
+            assert not whitener[np.ix_(rows, ~rows)].any() and not whitener[np.ix_(~rows, rows)].any()
 
 
 def _run_with_block_budget(monkeypatch, budget, *args, **kw):
@@ -925,15 +930,14 @@ def _run_with_block_budget(monkeypatch, budget, *args, **kw):
         dict(r=0.02, h=38.0),
         dict(r=0.02, h=34.0, covariance_mode="asymptotic"),
         dict(_UNEQUAL_R_CHART, h=44.0),
+        dict(_UNEQUAL_R_CHART, h=40.0, covariance_mode="asymptotic"),
     ],
-    ids=["exact", "asymptotic", "unequal-r"],
+    ids=["exact", "asymptotic", "unequal-r", "asymptotic-unequal-r"],
 )
 def test_block_length_changes_no_result(delivery, monkeypatch, chart_kw, track, reps, seeds):
     """Every block STEP steps long, or blocks as long as the patients done
-    before them, gives the same run lengths, flags and records: bit for bit
-    with equal smoothing, and record values within rtol 1e-12 with unequal
-    smoothing, where T2 is a BLAS product whose last bits may follow the
-    block's shape. max_rl 503 cuts the last block short."""
+    before them, gives the same run lengths, flags and records, bit for bit,
+    at one r and at one r per node. max_rl 503 cuts the last block short."""
     sigma = sm.expected_score_covariance(delivery.spec, delivery.params, delivery.covariates).values
     config = sm.ChartConfig(sigma_s=sigma, warmup=21, **{"covariance_mode": "exact-recursive", **chart_kw})
     gen = sm.in_control_generator(delivery)
@@ -957,10 +961,7 @@ def test_block_length_changes_no_result(delivery, monkeypatch, chart_kw, track, 
         rep, times, values = long.records
         np.testing.assert_array_equal(rep, short.records[0])
         np.testing.assert_array_equal(times, short.records[1])
-        if config.equal_r:
-            np.testing.assert_array_equal(values, short.records[2])
-        else:
-            np.testing.assert_allclose(values, short.records[2], rtol=1e-12, atol=0)
+        np.testing.assert_array_equal(values, short.records[2])
     assert ran_long
     if reps > 1:
         assert (~long.resolved).any() and (long.resolved & (long.run_lengths > 21)).any()
