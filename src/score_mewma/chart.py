@@ -23,6 +23,7 @@ EXACT_RECURSIVE = "exact-recursive"
 ASYMPTOTIC = "asymptotic"
 
 COND_LIMIT = 1e12
+R_MIN = 1e-6  # least smoothing weight: below it f_t = r(1 - (1 - r)^2t)/(2 - r) loses its digits
 
 
 @dataclass(frozen=True)
@@ -30,7 +31,8 @@ class ChartConfig:
     """Immutable chart parameters.
 
     ``r`` is the smoothing weight, a scalar broadcast to every score
-    coordinate or one value per coordinate; ``sigma_s`` is the covariance of
+    coordinate or one value per coordinate, each in [R_MIN, 1], kept as the
+    read-only ``r_vec`` and ``q_vec`` = 1 - r; ``sigma_s`` is the covariance of
     the full score vector. Two coordinates may have different r only where
     their ``sigma_s`` entry is 0, so r is constant on every correlated
     block: one r per node, since Sigma_S is block-diagonal by node, but not
@@ -46,6 +48,7 @@ class ChartConfig:
     warmup: int = 1
     coord_names: tuple[str, ...] | None = None
     r_vec: np.ndarray = field(init=False, repr=False)
+    q_vec: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         sigma = np.array(self.sigma_s, dtype=float)
@@ -65,8 +68,8 @@ class ChartConfig:
             r = np.full(sigma.shape[0], float(r[0]))
         if r.shape != (sigma.shape[0],):
             raise ModelConfigError("r must be a scalar or one value per monitored coordinate")
-        if not ((r > 0.0) & (r <= 1.0)).all():
-            raise ModelConfigError("smoothing values must lie in (0, 1]")
+        if not ((r >= R_MIN) & (r <= 1.0)).all():
+            raise ModelConfigError(f"smoothing values must lie in [{R_MIN:g}, 1]; below it f_t loses its digits")
         if self.coord_names is not None and len(self.coord_names) != sigma.shape[0]:
             raise ModelConfigError("coord_names must name every monitored coordinate")
         mixed = (r[:, None] != r[None, :]) & (sigma != 0.0)
@@ -76,8 +79,10 @@ class ChartConfig:
                 f"coordinates {i} and {j} are correlated under sigma_s but have different smoothing values; "
                 "r may differ only between uncorrelated blocks, such as nodes"
             )
-        r.flags.writeable = False
+        q = 1.0 - r
+        r.flags.writeable = q.flags.writeable = False
         object.__setattr__(self, "r_vec", r)
+        object.__setattr__(self, "q_vec", q)
 
         if self.h is not None and not self.h > 0.0:
             raise ModelConfigError("control limit h must be positive")
@@ -115,8 +120,8 @@ def sigma_w_closed_form(t: int, r: float, sigma_s: np.ndarray) -> np.ndarray:
     if not np.all(r_arr == r_arr[0]):
         raise ModelConfigError("closed form requires equal smoothing across coordinates")
     r = float(r_arr[0])
-    if not 0.0 < r <= 1.0:
-        raise ModelConfigError("smoothing value must lie in (0, 1]")
+    if not R_MIN <= r <= 1.0:
+        raise ModelConfigError(f"smoothing value must lie in [{R_MIN:g}, 1]")
     if t < 1:
         raise ModelConfigError("t must be at least 1")
     return _ewma_factor(r, t) * np.asarray(sigma_s, dtype=float)
@@ -225,7 +230,7 @@ def update(state: MewmaState, s_t: np.ndarray) -> tuple[MewmaState, float, bool]
     s = np.asarray(s_t, dtype=float).reshape(-1)
     if s.shape != (cfg.p,):
         raise ModelConfigError(f"score vector must have length {cfg.p}, got {s.shape[0]}")
-    w = cfg.r_vec * s + (1.0 - cfg.r_vec) * state.w
+    w = cfg.r_vec * s + cfg.q_vec * state.w
     t = state.t + 1
     t2 = float(cfg.t2_evaluator.t2(w, t))
     signal = t >= cfg.warmup and cfg.h is not None and t2 > cfg.h

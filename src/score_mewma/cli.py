@@ -21,7 +21,7 @@ import numpy as np
 
 from . import io as fio
 from .calibrate import calibrate_h
-from .chart import ASYMPTOTIC, EXACT_RECURSIVE, ChartConfig, run_stream
+from .chart import ASYMPTOTIC, EXACT_RECURSIVE, R_MIN, ChartConfig, run_stream
 from .errors import (
     CalibrationError,
     DataFormatError,
@@ -252,8 +252,9 @@ def cmd_simulate(args) -> int:
 
 
 def _add_chart_options(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--r", type=_float_where(lambda v: 0.0 < v <= 1.0, "smoothing weight must lie in (0, 1]"),
-                   default=0.1, help="EWMA smoothing weight (default 0.1)")
+    p.add_argument("--r", type=_float_where(lambda v: R_MIN <= v <= 1.0,
+                                            f"smoothing weight must lie in (0, 1] and be at least {R_MIN:g}"),
+                   default=0.1, help=f"EWMA smoothing weight, from {R_MIN:g} to 1 (default 0.1)")
     p.add_argument("--warmup", type=_int_at_least(1), default=1, help="patients before signals count")
     p.add_argument(
         "--covariance-mode",

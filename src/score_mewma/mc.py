@@ -4,8 +4,9 @@ Replication ``rep`` of seed s reads SplitMix64 from a 64-bit key K(s, rep):
 output t is mix64(K + t * GAMMA mod 2^64), whose top 53 bits give a
 uniform, so patient t is a function of (s, rep, t) alone. Results do not
 depend on execution order, chunking, lane mates, max_rl or worker count.
-Replications run in fixed-size chunks, in process at one worker and
-otherwise on a persistent pool of forked worker processes.
+Replications run in fixed-size chunks, in process at one worker or when
+a batch holds one chunk, and otherwise on a persistent pool of forked
+worker processes.
 
 Inside a chunk every active replication is one lane, and each loop
 iteration advances every lane a block of patients (``_simulate_chunk``):
@@ -31,6 +32,12 @@ row is then s (W R), summed over the columns of s in a fixed order, z_t =
 row_t + (I - R) z_{t-1}, and T2 is a sum of squares with no matrix product
 per step. Sigma_S is block-diagonal by node, so each node's columns of z
 hold its share of T2.
+
+Per coordinate that EWMA is a first-order recursive filter. A wide block
+runs it a step at a time, two numpy calls a step; a narrow one, of fewer
+state columns (lanes x p) than steps, as in a small calibration stage or
+a chunk's last long runs, is one ``scipy.signal.lfilter`` call per run of
+equal r, which rounds as the step does, fl(row + fl(q z)), bit for bit.
 """
 
 from __future__ import annotations
@@ -51,6 +58,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.signal import lfilter
 from scipy.special import expit
 
 from . import model
@@ -414,7 +422,8 @@ class _CompiledSim:
     is W R for the evaluator's factor W and the smoothing weights R on its
     columns, which equals R W as W mixes only coordinates of one weight;
     the kernel's input rows are the whitened s W R, and ``q`` is 1 - r, a
-    scalar when r is equal. With k <= model.ENUM_LIMIT bits per patient
+    scalar when r is equal, and ``runs`` pairs the columns of each run of
+    equal r with its q. With k <= model.ENUM_LIMIT bits per patient
     ``cdf`` and ``guide`` are the generator's ``_type_law``: the cumulative
     probabilities of the 2^k patient types under the generator and their
     guide table (``_type_guide``), through which a patient's output finds
@@ -436,9 +445,10 @@ class _CompiledSim:
         self.designs = node_designs(generator.spec)
         self.values0 = params0.values
         self.k = sum(generator.spec.widths)
-        self.q = float(1.0 - config.r_vec[0]) if config.equal_r else 1.0 - config.r_vec
+        self.q = float(config.q_vec[0]) if config.equal_r else config.q_vec
         self.warmup = config.warmup
         self.evaluator = config.t2_evaluator
+        self.runs = tuple((cols, 1.0 - r) for cols, r in self.evaluator.runs)
         whitener = self.evaluator.whitener()
         self.whiten = whitener * config.r_vec
         # each row's first nonzero column; W is lower triangular, so row j ends at column j
@@ -535,6 +545,13 @@ class RunLengthSample:
         return rl, resolved
 
 
+def _filters(z: np.ndarray, n: int) -> bool:
+    """Whether a block of n steps from the states z takes ``lfilter``, whose
+    cost follows the state columns, over the step loop, whose cost follows
+    the steps."""
+    return z.size < n
+
+
 def _simulate_chunk(
     sim: _CompiledSim,
     keys: np.ndarray,
@@ -549,13 +566,14 @@ def _simulate_chunk(
     replication is a lane, and each loop iteration advances every lane n
     patients: ``sim.inputs`` draws the block's n x lanes patients and gives
     their input rows in one call, the EWMA z_t = row_t + q z_{t-1} runs
-    through the block one step at a time into that (n, lanes, p) block with
-    one preallocated temporary, and ``sim.t2`` takes the block's T2 in one
-    call, as sums of squares of the whitened states. A lane ends at its
-    first T2 above cap in the block, and the steps computed past it are
-    discarded; under ``track_records`` its record highs in the block come
-    from a running maximum cut off there, and a stable sort by replication
-    keeps each replication's in time order.
+    through the block into that (n, lanes, p) block, one step at a time
+    with one preallocated temporary or, in a narrow block (``_filters``),
+    as one ``lfilter`` call per run of equal r, and ``sim.t2`` takes the
+    block's T2 in one call, as sums of squares of the whitened states. A
+    lane ends at its first T2 above cap in the block, and the steps
+    computed past it are discarded; under ``track_records`` its record
+    highs in the block come from a running maximum cut off there, and a
+    stable sort by replication keeps each replication's in time order.
 
     n starts at STEP and doubles while the doubled block holds at most
     LANE_STEPS lane-steps, up to BUF: 16 steps above 256 lanes, 256 at 32
@@ -579,11 +597,16 @@ def _simulate_chunk(
             n *= 2
         n = min(n, max(t0, STEP), max_rl - t0)
         zs = sim.inputs(keys[active], start + t0 * sim.draws, n)
-        qz_lanes = qz[: active.size]
-        for j in range(n):
-            zj = zs[j]
-            zj += np.multiply(sim.q, z, out=qz_lanes)
-            z = zj
+        if _filters(z, n):
+            for cols, q in sim.runs:
+                zs[..., cols] = lfilter((1.0,), (1.0, -q), zs[..., cols], axis=0, zi=q * z[None, :, cols])[0]
+            z = zs[-1]
+        else:
+            qz_lanes = qz[: active.size]
+            for j in range(n):
+                zj = zs[j]
+                zj += np.multiply(sim.q, z, out=qz_lanes)
+                z = zj
         t2 = sim.t2(zs, t0)
         t2[: max(sim.warmup - 1 - t0, 0)] = -np.inf  # no record or signal before the warmup
         over = t2 > cap
@@ -638,9 +661,11 @@ def _check_run_size(reps: int, max_rl: int) -> None:
 def _simulate_passes(passes, threads: int | None) -> list[RunLengthSample]:
     """``simulate_run_lengths`` of each pass, a tuple (generator, params0,
     config, reps, max_rl, seed, cap, track_records). All passes are checked
-    before any chunk is queued. A pass's ``_CompiledSim`` is built and pickled
-    here while the pool runs earlier chunks, and at most ``IN_FLIGHT`` chunks
-    per worker are queued or running: the oldest is waited for first."""
+    before any chunk is queued. A batch of one chunk runs in process, as a
+    worker would add only its round trip. Otherwise a pass's ``_CompiledSim``
+    is built and pickled here while the pool runs earlier chunks, and at
+    most ``IN_FLIGHT`` chunks per worker are queued or running: the oldest
+    is waited for first."""
     checked = []
     for generator, params0, config, reps, max_rl, seed, cap, track_records in passes:
         _check_run_size(reps, max_rl)
@@ -653,6 +678,8 @@ def _simulate_passes(passes, threads: int | None) -> list[RunLengthSample]:
         checked.append((generator, params0, config, max_rl, _seed_key(seed), float(cap), track_records, chunks))
     workers = resolve_threads(threads)
     pool = worker_pool(workers)
+    if sum(len(chunks) for *_, chunks in checked) == 1:
+        pool = None
     results = [[] for _ in checked]
     queued = deque()  # (pass index, future) of the chunks on the pool, oldest first
     try:

@@ -256,6 +256,30 @@ def test_config_validation():
         sm.ChartConfig(sigma_s=np.eye(2), r=0.1, coord_names=("a",))
 
 
+def test_smoothing_weights_below_the_floor_are_rejected():
+    """f_1 = r^2 keeps its digits down to R_MIN, so one update of s gives T2
+    = |s|^2 there; just below it a weight is refused, scalar, per
+    coordinate or in the closed form, where f_t would lose its digits and
+    T2 turn inf or nan."""
+    below = float(np.nextafter(chart.R_MIN, 0.0))
+    for r in (below, (0.1, below)):
+        with pytest.raises(ModelConfigError, match=r"smoothing values must lie in \[1e-06, 1\]"):
+            _config(r=r)
+    with pytest.raises(ModelConfigError, match=r"smoothing value must lie in \[1e-06, 1\]"):
+        sm.sigma_w_closed_form(1, below, np.eye(2))
+    config = _config(r=chart.R_MIN, h=100.0)
+    _, t2, signal = sm.update(sm.init_state(config), np.array([3.0, 4.0]))
+    assert abs(t2 - 25.0) < 1e-9 * 25.0 and not signal
+    closed = sm.sigma_w_closed_form(1, chart.R_MIN, np.eye(2))
+    assert abs(closed[0, 0] - chart.R_MIN**2) < 1e-9 * chart.R_MIN**2
+
+
+def test_q_vec_is_one_minus_r_and_read_only():
+    config = _config(p=4, r=(0.1, 0.1, 0.4, 0.4))
+    np.testing.assert_array_equal(config.q_vec, 1.0 - config.r_vec)
+    assert not config.q_vec.flags.writeable and not config.r_vec.flags.writeable
+
+
 def test_run_stream_empty_and_stop(delivery):
     sigma = sm.expected_score_covariance(delivery.spec, delivery.params, delivery.covariates).values
     config = sm.ChartConfig(sigma_s=sigma, r=0.1, h=1e-12)

@@ -3,6 +3,7 @@ import gc
 import hashlib
 import io
 import json
+import math
 import multiprocessing
 import os
 import re
@@ -693,6 +694,35 @@ def test_smoothing_outside_unit_interval_rejected_at_parse_time(work, tmp_path, 
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.count("argument --r: smoothing weight must lie in (0, 1]") == 2
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["at-floor", "below-floor"])
+def test_smoothing_floor_at_parse_time(work, tmp_path, capsys, below):
+    """At r = 1e-6 monitor writes finite T2 and study and calibrate run; just
+    below it each command exits 2 at parse time and writes nothing."""
+    root, model = work
+    r = repr(float(np.nextafter(1e-6, 0.0))) if below else "1e-6"
+    data_csv = tmp_path / "sim.csv"
+    assert run("simulate", model, model, "--n", 5, "--seed", 1, "-o", data_csv) == 0
+    outs = {cmd: tmp_path / f"{cmd}.out" for cmd in ("monitor", "study", "calibrate")}
+    codes = [
+        run("monitor", model, model, data_csv, "--h", 30, "--r", r, "-o", outs["monitor"]),
+        run("study", model, model, "--shift", "coefficient", "--targets", "beta24", "--c-grid", "1.0", "--h", 30,
+            "--r", r, "--reps", 20, "--max-rl", 50, "-o", outs["study"]),
+        run("calibrate", model, model, "--target-arl", 15, "--reps", 600, "--r", r, "--seed", 5,
+            "--max-rl", 300, "-o", outs["calibrate"]),
+    ]
+    err = capsys.readouterr().err
+    if below:
+        assert codes == [2, 2, 2] and not any(out.exists() for out in outs.values())
+        assert err.count("argument --r: smoothing weight must lie in (0, 1] and be at least 1e-06") == 3
+        return
+    assert codes == [0, 0, 0], err
+    rows = [ln.split(",") for ln in outs["monitor"].read_text().splitlines() if ln and not ln.startswith("#")][1:]
+    assert len(rows) == 5 and all(0.0 <= float(row[1]) < 30.0 for row in rows)
+    study = [ln.split(",") for ln in outs["study"].read_text().splitlines() if ln and not ln.startswith("#")][1:]
+    assert len(study) == 1 and int(study[0][6]) < 20
+    assert math.isfinite(fio.read_json_report(str(outs["calibrate"]))["payload"]["h"])
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 import score_mewma as sm
 from score_mewma import mc
@@ -967,6 +968,49 @@ def test_block_length_changes_no_result(delivery, monkeypatch, chart_kw, track, 
         assert (~long.resolved).any() and (long.resolved & (long.run_lengths > 21)).any()
 
 
+@pytest.mark.parametrize("mode", ["exact-recursive", "asymptotic"])
+@pytest.mark.parametrize(
+    "chart_kw", [dict(r=0.02, h=34.0), dict(_UNEQUAL_R_CHART, h=40.0)], ids=["r-0.02", "unequal-r"]
+)
+def test_narrow_blocks_filter_to_the_wide_blocks_bits(delivery, monkeypatch, mode, chart_kw):
+    """A replication alone runs its EWMA through lfilter in every block of
+    more steps than state columns; among 2,048 lanes, with the step loop
+    forced on every block, it gets the same run length, flag and record
+    highs, bit for bit, and so it does alone with the loop forced."""
+    sigma = sm.expected_score_covariance(delivery.spec, delivery.params, delivery.covariates).values
+    config = sm.ChartConfig(sigma_s=sigma, covariance_mode=mode, **chart_kw)
+    sim = mc._CompiledSim(sm.in_control_generator(delivery), delivery.params, config)
+    keys = mc._replication_keys(mc._seed_key(41), 0, mc.CHUNK)
+    filtered = []
+
+    def spy(b, a, x, **kw):
+        filtered.append(x.shape)
+        return lfilter(b, a, x, **kw)
+
+    def run(key_slice, loop):
+        with monkeypatch.context() as patch:
+            patch.setattr(mc, "lfilter", spy)
+            if loop:
+                patch.setattr(mc, "_filters", lambda z, n: False)
+            return mc._simulate_chunk(sim, keys[key_slice], 0, config.h, 1500, track_records=True)
+
+    wide_rl, wide_resolved, (wide_rep, wide_times, wide_values) = run(slice(None), loop=True)
+    assert filtered == []
+    long_runs = np.flatnonzero(wide_rl > mc.BUF)
+    assert long_runs.size >= 3 and not wide_resolved.all()
+    for i in [*long_runs[:3], int(wide_rl.argmax())]:
+        mine = wide_rep == i
+        for loop in (False, True):
+            del filtered[:]
+            rl, resolved, (rep, times, values) = run(slice(i, i + 1), loop)
+            assert bool(filtered) == (not loop) and len(filtered) % len(sim.runs) == 0
+            np.testing.assert_array_equal(rl, wide_rl[i : i + 1])
+            np.testing.assert_array_equal(resolved, wide_resolved[i : i + 1])
+            np.testing.assert_array_equal(rep, np.zeros(mine.sum(), dtype=rep.dtype))
+            np.testing.assert_array_equal(times, wide_times[mine])
+            np.testing.assert_array_equal(values, wide_values[mine])
+
+
 def _fork_pool_or_skip():
     if multiprocessing.get_all_start_methods()[0] != "fork":
         pytest.skip("workers are forked only where fork is the default start method")
@@ -1199,3 +1243,30 @@ def test_no_chunk_is_queued_when_a_later_pass_fails_its_checks(delivery, chart, 
     with pytest.raises(sm.ModelConfigError, match=match):
         mc._simulate_passes(passes, threads=2)
     assert pool.futures == []
+
+
+def test_a_one_chunk_batch_never_reaches_the_pool(delivery, chart, monkeypatch):
+    """At two workers a one-chunk simulation and the one-chunk passes of a
+    calibration run in process, bit for bit as at one worker; a pass of two
+    chunks still queues both."""
+    gen = sm.in_control_generator(delivery)
+    pool = _LazyPool()
+    monkeypatch.setattr(mc, "worker_pool", lambda workers: pool)
+    kw = dict(reps=300, max_rl=200, seed=4, track_records=True)
+    expected = simulate_run_lengths(gen, delivery.params, chart, threads=1, **kw)
+    got = simulate_run_lengths(gen, delivery.params, chart, threads=2, **kw)
+    cal_kw = dict(target_arl=25.0, reps_schedule=(100, 300), seed=12)
+    cal_expected = sm.calibrate_h(gen, delivery.params, chart, threads=1, **cal_kw)
+    cal_got = sm.calibrate_h(gen, delivery.params, chart, threads=2, **cal_kw)
+    assert pool.futures == []
+    for a, b in zip((got.run_lengths, got.resolved, *got.records),
+                    (expected.run_lengths, expected.resolved, *expected.records), strict=True):
+        np.testing.assert_array_equal(a, b)
+    assert cal_got == cal_expected
+    np.testing.assert_array_equal(cal_got.achieved_arl.run_lengths, cal_expected.achieved_arl.run_lengths)
+    monkeypatch.setattr(mc, "CHUNK", 150)
+    two = simulate_run_lengths(gen, delivery.params, chart, threads=2, **kw)
+    assert len(pool.futures) == 2 and all(f.read for f in pool.futures)
+    for a, b in zip((two.run_lengths, two.resolved, *two.records),
+                    (expected.run_lengths, expected.resolved, *expected.records), strict=True):
+        np.testing.assert_array_equal(a, b)
